@@ -73,9 +73,9 @@ impl AutoNuma {
         let mut queued = 0u64;
 
         // 1. Private pages home to their owner's node. The scan walks the
-        // segment's placement runs (O(extents)), emitting one range per
-        // misplaced run — the expanded page order matches the historical
-        // page-by-page scan exactly.
+        // segment's placement runs (O(extents)), emitting one constant
+        // range per misplaced run — the expanded page order matches the
+        // historical page-by-page scan exactly.
         for &(owner, seg) in &p.private_segs {
             if *budget_pages == queued {
                 break;
@@ -87,13 +87,7 @@ impl AutoNuma {
             segment.for_each_run(0, segment.len(), |run_start, run_len, at| {
                 if at != owner {
                     let take = run_len.min(*budget_pages - queued);
-                    moves.push(PendingRange {
-                        segment: seg,
-                        start: run_start,
-                        len: take,
-                        from: at,
-                        to: owner,
-                    });
+                    moves.push(PendingRange::constant(seg, run_start, take, at, owner));
                     queued += take;
                 }
                 queued < *budget_pages
@@ -152,13 +146,7 @@ impl AutoNuma {
                         }
                         let accepts = remaining[di].ceil().max(1.0) as u64;
                         let take = (run_len - off).min(accepts).min(*budget_pages - queued);
-                        moves.push(PendingRange {
-                            segment: shared,
-                            start: run_start + off,
-                            len: take,
-                            from: at,
-                            to,
-                        });
+                        moves.push(PendingRange::constant(shared, run_start + off, take, at, to));
                         remaining[di] -= take as f64;
                         if remaining[di] <= 0.0 {
                             di += 1;

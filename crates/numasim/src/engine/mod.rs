@@ -21,7 +21,7 @@ use crate::daemon::Daemon;
 use crate::error::SimError;
 use crate::mem::address_space::AddressSpace;
 use crate::mem::frames::FramePools;
-use crate::mem::migrate::{MigrationQueue, PendingMove, PendingRange};
+use crate::mem::migrate::{check_range, MigrationQueue, PendingMove, PendingRange};
 use crate::mem::policy::MemPolicy;
 use crate::mem::segment::{SegmentId, SegmentKind};
 use crate::perf::{PerfCounters, ProcessSample};
@@ -201,14 +201,52 @@ struct StepScratch {
     per_proc: Vec<Vec<(usize, f64)>>,
     /// Migration groups appended after the app groups.
     mig_meta: Vec<MigAttempt>,
-    /// Dense n*n page counts per `(from, to)` migration pair.
-    pair_count: Vec<u64>,
-    /// `(from, to)` pairs in first-appearance (FIFO) order.
-    pair_order: Vec<(u16, u16)>,
+    /// Per-pair page counts of one process's attempted, then landed,
+    /// migrations.
+    pairs: PairTally,
     /// Ranges completed this epoch.
     completed: Vec<PendingRange>,
-    /// Constant-node runs of the range being applied.
-    runs_buf: Vec<(u64, u64, NodeId)>,
+}
+
+/// Page counts per `(from, to)` node pair, with the pairs kept in
+/// first-appearance order — the order migration flows enter the solver
+/// and the counters, which must match the queue's page order exactly.
+#[derive(Default)]
+struct PairTally {
+    /// Dense `n*n` counts.
+    count: Vec<u64>,
+    /// Pairs with a non-zero count, first appearance first.
+    order: Vec<(NodeId, NodeId)>,
+    n: usize,
+}
+
+impl PairTally {
+    /// Zero every count for an `n`-node machine.
+    fn reset(&mut self, n: usize) {
+        if self.n != n {
+            self.n = n;
+            self.count.clear();
+            self.count.resize(n * n, 0);
+        }
+        for &(from, to) in &self.order {
+            self.count[from.idx() * n + to.idx()] = 0;
+        }
+        self.order.clear();
+    }
+
+    fn add(&mut self, from: NodeId, to: NodeId, pages: u64) {
+        debug_assert!(pages > 0);
+        let c = &mut self.count[from.idx() * self.n + to.idx()];
+        if *c == 0 {
+            self.order.push((from, to));
+        }
+        *c += pages;
+    }
+
+    /// `(from, to, pages)` in first-appearance order.
+    fn iter(&self) -> impl Iterator<Item = (NodeId, NodeId, u64)> + '_ {
+        self.order.iter().map(|&(from, to)| (from, to, self.count[from.idx() * self.n + to.idx()]))
+    }
 }
 
 /// The simulated machine + OS. See module docs.
@@ -530,8 +568,9 @@ impl Simulator {
     /// pages; they move at the migration engine's rate over the following
     /// epochs. Returns the number of queued page moves.
     ///
-    /// Non-compliance is computed per placement run (O(extents + policy
-    /// blocks), not O(pages)) and queued as [`PendingRange`]s; without
+    /// Non-compliance is computed per (extent × policy block) piece and
+    /// queued as patterned [`PendingRange`]s — O(extents + policy blocks),
+    /// not O(pages), even when the policy interleaves; without
     /// `move_pages` the call returns after validation, before any scan.
     pub fn mbind(
         &mut self,
@@ -543,33 +582,21 @@ impl Simulator {
         move_pages: bool,
     ) -> Result<usize, SimError> {
         policy.validate(self.machine.node_count())?;
-        let pending: Vec<PendingRange> = {
+        let pending = {
             let proc_ = self.process(pid)?;
             let master = proc_.master_node();
             let segment = proc_.aspace.segment(seg)?;
-            if start + len > segment.len() {
-                return Err(SimError::RangeOutOfBounds { start, len, segment_len: segment.len() });
-            }
+            check_range(start, len, segment.len())?;
             if !move_pages {
                 return Ok(0);
             }
-            segment
-                .non_complying_runs(start, len, &policy, master)?
-                .into_iter()
-                .map(|r| PendingRange {
-                    segment: seg,
-                    start: r.start,
-                    len: r.len,
-                    from: r.from,
-                    to: r.to,
-                })
-                .collect()
+            segment.non_complying_runs(seg, start, len, &policy, master)?
         };
         // A new mbind over the range supersedes any moves still queued for
         // it (the latest policy wins, as with Linux's synchronous mbind).
         let proc_ = self.process_mut(pid)?;
         proc_.migrations.cancel_range(seg, start, len);
-        let count: u64 = pending.iter().map(|r| r.len).sum();
+        let count: u64 = pending.iter().map(PendingRange::moved).sum();
         proc_.migrations.enqueue_ranges(pending);
         if count > 0 {
             if let Some(tr) = self.trace.as_mut() {
@@ -606,23 +633,36 @@ impl Simulator {
     }
 
     /// Directly enqueue single-page moves (tests and per-page callers;
-    /// contiguous moves coalesce into ranges in the queue).
+    /// contiguous moves coalesce into ranges in the queue). Validated like
+    /// [`Simulator::enqueue_move_ranges`].
     pub fn enqueue_moves(
         &mut self,
         pid: ProcessId,
         moves: Vec<PendingMove>,
     ) -> Result<(), SimError> {
-        self.process_mut(pid)?.migrations.enqueue(moves);
-        Ok(())
+        let ranges = moves
+            .into_iter()
+            .map(|m| PendingRange::constant(m.segment, m.page, 1, m.from, m.to))
+            .collect();
+        self.enqueue_move_ranges(pid, ranges)
     }
 
     /// Directly enqueue page-move ranges (used by AutoNUMA and tests).
+    /// Every range must name an existing segment, lie inside it and name
+    /// only nodes of this machine; otherwise nothing is queued and the
+    /// error names the first offender.
     pub fn enqueue_move_ranges(
         &mut self,
         pid: ProcessId,
         ranges: Vec<PendingRange>,
     ) -> Result<(), SimError> {
-        self.process_mut(pid)?.migrations.enqueue_ranges(ranges);
+        let node_count = self.machine.node_count();
+        let p = self.process_mut(pid)?;
+        for r in &ranges {
+            check_range(r.start, r.len, p.aspace.segment(r.segment)?.len())?;
+            r.pat.validate(node_count)?;
+        }
+        p.migrations.enqueue_ranges(ranges);
         Ok(())
     }
 
@@ -813,7 +853,6 @@ impl Simulator {
             );
         }
         scratch.mig_meta.clear();
-        scratch.pair_count.resize(n * n, 0);
         for p in &self.procs {
             if p.migrations.is_empty() {
                 continue;
@@ -821,41 +860,34 @@ impl Simulator {
             let budget_pages =
                 ((self.cfg.migration_gbps * 1e9 * dt) / PAGE_SIZE as f64).ceil() as usize;
             let attempt = budget_pages.min(p.migrations.pending()).max(1);
-            // Aggregate attempted moves by (from, to): dense counts, plus
-            // the pairs in first-appearance (FIFO) order so the emitted
-            // flow order matches the queue page order exactly.
-            for &(f, t) in &scratch.pair_order {
-                scratch.pair_count[f as usize * n + t as usize] = 0;
-            }
-            scratch.pair_order.clear();
+            // Aggregate the attempted pages by (from, to) — prefix
+            // arithmetic over each range's pattern — in first-appearance
+            // order, so the emitted flow order matches the queue page
+            // order exactly.
+            scratch.pairs.reset(n);
             let mut left = attempt as u64;
             for r in p.migrations.ranges() {
                 if left == 0 {
                     break;
                 }
-                let take = r.len.min(left);
+                let take = r.moved().min(left);
                 left -= take;
-                let key = r.from.0 as usize * n + r.to.0 as usize;
-                if scratch.pair_count[key] == 0 {
-                    scratch.pair_order.push((r.from.0, r.to.0));
-                }
-                scratch.pair_count[key] += take;
+                r.for_each_prefix_slot(take, |from, to, pages| scratch.pairs.add(from, to, pages));
             }
             scratch.ds.begin_group((1u64 << 63) | p.id.0 as u64, 1.0, 1.0);
-            for &(from, to) in &scratch.pair_order {
-                let count = scratch.pair_count[from as usize * n + to as usize];
+            for (from, to, count) in scratch.pairs.iter() {
                 let rate = count as f64 * PAGE_SIZE as f64 / dt / 1e9;
                 // Read the page from its current node...
                 scratch.ds.add_flow(FlowDemand {
-                    mem: NodeId(from),
-                    cpu: NodeId(to),
+                    mem: from,
+                    cpu: to,
                     read_gbps: rate,
                     write_gbps: 0.0,
                 });
                 // ...and write it into the destination node.
                 scratch.ds.add_flow(FlowDemand {
-                    mem: NodeId(to),
-                    cpu: NodeId(to),
+                    mem: to,
+                    cpu: to,
                     read_gbps: 0.0,
                     write_gbps: rate,
                 });
@@ -907,55 +939,38 @@ impl Simulator {
         let scratch = &mut self.scratch;
         let app_groups = scratch.app_meta.len();
 
-        // 5. Complete migrations, range by range.
+        // 5. Complete migrations: one patterned splice per completed range.
         for mi in 0..scratch.mig_meta.len() {
             let att = &scratch.mig_meta[mi];
             let u = scratch.solved.outcomes[app_groups + mi].activity;
             let pid = att.pid;
             self.procs[pid.0].migration_credit += u * att.pages as f64;
-            let completed = (self.procs[pid.0].migration_credit + 1e-9).floor() as usize;
-            if completed == 0 {
+            let done = (self.procs[pid.0].migration_credit + 1e-9).floor() as usize;
+            if done == 0 {
                 continue;
             }
-            self.procs[pid.0].migration_credit -= completed as f64;
-            let completed_pages = completed as u64;
-            scratch.completed.clear();
-            self.procs[pid.0].migrations.complete_into(completed, &mut scratch.completed);
-            let StepScratch { completed, runs_buf, .. } = &mut *scratch;
+            self.procs[pid.0].migration_credit -= done as f64;
+            let StepScratch { completed, pairs, .. } = &mut *scratch;
+            completed.clear();
+            self.procs[pid.0].migrations.complete_into(done, completed);
+            // Pages land against the live page table (a later mbind or
+            // AutoNUMA may have moved them since they were queued) and
+            // frame pools; the landed pages are counted once per pair.
+            pairs.reset(n);
+            let aspace = &mut self.procs[pid.0].aspace;
             for r in completed.iter() {
-                // A later mbind may have re-queued these pages while the
-                // range was pending: trust the page table, not the stale
-                // `from` recorded at enqueue time.
-                runs_buf.clear();
-                {
-                    let seg = self.procs[pid.0].aspace.segment(r.segment).expect("segment exists");
-                    seg.for_each_run(r.start, r.len, |a, l, node| {
-                        runs_buf.push((a, l, node));
-                        true
-                    });
-                }
-                for &(run_start, run_len, current) in runs_buf.iter() {
-                    if current == r.to {
-                        continue;
-                    }
-                    // Best-effort: drop what the destination cannot hold
-                    // (free frames only shrink while a range applies, so
-                    // the first `m` movable pages land, as per-page did).
-                    let m = run_len.min(self.frames.free(r.to));
-                    if m == 0 {
-                        continue;
-                    }
-                    self.frames.alloc(r.to, m).expect("free frames checked");
-                    self.frames.release(current, m);
-                    self.procs[pid.0]
-                        .aspace
-                        .segment_mut(r.segment)
-                        .expect("segment exists")
-                        .relocate_run(run_start, m, r.to);
-                    let bytes = m as f64 * PAGE_SIZE as f64;
-                    self.counters.record_flow(pid, current.idx(), r.to.idx(), bytes, 0.0);
-                    self.counters.record_flow(pid, r.to.idx(), r.to.idx(), 0.0, bytes);
-                }
+                aspace.segment_mut(r.segment).expect("validated at enqueue").migrate_range(
+                    r.start,
+                    r.len,
+                    &r.pat,
+                    &mut self.frames,
+                    |from, to, pages| pairs.add(from, to, pages),
+                );
+            }
+            for (from, to, pages) in pairs.iter() {
+                let bytes = pages as f64 * PAGE_SIZE as f64;
+                self.counters.record_flow(pid, from.idx(), to.idx(), bytes, 0.0);
+                self.counters.record_flow(pid, to.idx(), to.idx(), 0.0, bytes);
             }
             if let Some(tr) = self.trace.as_mut() {
                 tr.instant(
@@ -963,7 +978,7 @@ impl Simulator {
                     epoch_ts,
                     trace::process_track(pid),
                     vec![
-                        ("pages".into(), ArgValue::U64(completed_pages)),
+                        ("pages".into(), ArgValue::U64(done as u64)),
                         ("ranges".into(), ArgValue::U64(completed.len() as u64)),
                     ],
                 );
@@ -1400,6 +1415,76 @@ mod tests {
         let queued = sim.mbind(pid, seg, 0, 100, MemPolicy::Bind(NodeId(1)), false).unwrap();
         assert_eq!(queued, 0);
         assert_eq!(sim.pending_migrations(pid), 0);
+    }
+
+    #[test]
+    fn mbind_range_overflow_is_an_error_not_a_panic() {
+        let mut sim = Simulator::new(machines::machine_b(), SimConfig::default());
+        let pid = sim
+            .spawn(profile(10.0), NodeSet::single(NodeId(0)), None, MemPolicy::FirstTouch)
+            .unwrap();
+        let seg = sim.process(pid).unwrap().shared_seg;
+        for move_pages in [true, false] {
+            let r = sim.mbind(pid, seg, u64::MAX, 2, MemPolicy::Bind(NodeId(1)), move_pages);
+            assert!(
+                matches!(r, Err(SimError::RangeOutOfBounds { start: u64::MAX, len: 2, .. })),
+                "{r:?}"
+            );
+        }
+        let segment = sim.process(pid).unwrap().aspace.segment(seg).unwrap();
+        let r =
+            segment.non_complying_runs(seg, u64::MAX, 2, &MemPolicy::Bind(NodeId(1)), NodeId(0));
+        assert!(matches!(r, Err(SimError::RangeOutOfBounds { .. })), "{r:?}");
+        assert_eq!(sim.pending_migrations(pid), 0);
+    }
+
+    #[test]
+    fn enqueue_rejects_unknown_segments() {
+        let mut sim = Simulator::new(machines::machine_b(), SimConfig::default());
+        let pid = sim
+            .spawn(profile(10.0), NodeSet::single(NodeId(0)), None, MemPolicy::FirstTouch)
+            .unwrap();
+        let bogus = SegmentId(99);
+        let r = sim.enqueue_move_ranges(
+            pid,
+            vec![PendingRange::constant(bogus, 0, 4, NodeId(0), NodeId(1))],
+        );
+        assert_eq!(r, Err(SimError::NoSuchSegment(99)));
+        let mv = PendingMove { segment: bogus, page: 0, from: NodeId(0), to: NodeId(1) };
+        assert_eq!(sim.enqueue_moves(pid, vec![mv]), Err(SimError::NoSuchSegment(99)));
+        assert_eq!(sim.pending_migrations(pid), 0);
+        sim.step(); // used to panic looking the segment up at completion
+    }
+
+    #[test]
+    fn enqueue_rejects_ranges_past_the_segment_end() {
+        let mut sim = Simulator::new(machines::machine_b(), SimConfig::default());
+        let pid = sim
+            .spawn(profile(10.0), NodeSet::single(NodeId(0)), None, MemPolicy::FirstTouch)
+            .unwrap();
+        let seg = sim.process(pid).unwrap().shared_seg;
+        let len = sim.process(pid).unwrap().aspace.segment(seg).unwrap().len();
+        for (start, l) in [(len - 1, 2), (len, 1), (u64::MAX, 2)] {
+            let r = sim.enqueue_move_ranges(
+                pid,
+                vec![
+                    PendingRange::constant(seg, 0, 1, NodeId(0), NodeId(1)),
+                    PendingRange::constant(seg, start, l, NodeId(0), NodeId(1)),
+                ],
+            );
+            assert!(matches!(r, Err(SimError::RangeOutOfBounds { .. })), "{start}+{l}: {r:?}");
+        }
+        let mv = PendingMove { segment: seg, page: len, from: NodeId(0), to: NodeId(1) };
+        assert!(matches!(sim.enqueue_moves(pid, vec![mv]), Err(SimError::RangeOutOfBounds { .. })));
+        // A pattern naming a node the machine lacks is refused too.
+        let r = sim.enqueue_move_ranges(
+            pid,
+            vec![PendingRange::constant(seg, 0, 1, NodeId(0), NodeId(9))],
+        );
+        assert!(matches!(r, Err(SimError::InvalidNodes(_))), "{r:?}");
+        // Nothing was queued, not even the valid leading range.
+        assert_eq!(sim.pending_migrations(pid), 0);
+        sim.step(); // used to panic walking past the segment end
     }
 
     #[test]

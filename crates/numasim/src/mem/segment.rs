@@ -15,20 +15,26 @@
 //! # Invariants
 //!
 //! * extents are sorted by `start`, disjoint, and cover `[0, len)`;
-//! * every extent has `len > 0`; `Cycle` patterns have ≥ 2 nodes and are
-//!   never all-equal (those normalize to `Const`);
-//! * adjacent `Const` extents never share a node (they merge on write);
+//! * every extent has `len > 0`; `Cycle` patterns have their minimal
+//!   period ≥ 2 (period-1 cycles normalize to `Const`);
+//! * adjacent extents fuse on write when one rule covers both;
 //! * `node_counts` always equals the histogram implied by the extents.
 //!
 //! All mutators preserve the exact page-to-node mapping the historical
 //! per-page implementation produced — placement math binary-searches the
 //! *same* `MemPolicy::target_node` predicate rather than re-deriving
 //! boundaries in floating point, and batched frame allocation replicates
-//! the per-page spill loop (see `place`). The golden campaign reports
-//! pin this equivalence end-to-end.
+//! the per-page spill loop (see `place`). Migration keeps the
+//! representation regular on its own: `non_complying_runs` queues one
+//! patterned range per (extent × policy block) piece, and
+//! `migrate_range` completes it with one patterned splice, so rebinding
+//! into an interleave leaves `Cycle` extents behind rather than per-page
+//! fragments. The golden campaign reports pin this equivalence
+//! end-to-end.
 
 use crate::error::SimError;
 use crate::mem::frames::FramePools;
+use crate::mem::migrate::{check_range, MovePattern, PendingRange};
 use crate::mem::policy::MemPolicy;
 use bwap_topology::NodeId;
 
@@ -49,7 +55,7 @@ pub enum SegmentKind {
     },
 }
 
-/// Node-assignment rule of one extent.
+/// Node-assignment rule of one extent (or of one policy block).
 #[derive(Debug, Clone, PartialEq)]
 enum Pattern {
     /// Every page of the extent lives on one node.
@@ -58,6 +64,46 @@ enum Pattern {
     /// shape a round-robin interleave (possibly with spill substitutions)
     /// lays down. The phase is folded into the rotation of `nodes`.
     Cycle(Box<[NodeId]>),
+}
+
+impl Pattern {
+    /// The rule "page `p` lives on `nodes[p % nodes.len()]`", normalized
+    /// to its minimal period (`Const` when that is 1).
+    fn cycle(nodes: &[NodeId]) -> Pattern {
+        match min_period(nodes) {
+            1 => Pattern::Const(nodes[0]),
+            p => Pattern::Cycle(nodes[..p].into()),
+        }
+    }
+
+    fn period(&self) -> u64 {
+        match self {
+            Pattern::Const(_) => 1,
+            Pattern::Cycle(nodes) => nodes.len() as u64,
+        }
+    }
+
+    /// Node of relative page `rel`.
+    fn node(&self, rel: u64) -> NodeId {
+        match self {
+            Pattern::Const(n) => *n,
+            Pattern::Cycle(nodes) => nodes[(rel % nodes.len() as u64) as usize],
+        }
+    }
+}
+
+/// Smallest `p` dividing `s.len()` with `s` made of `s[..p]` repeated.
+pub(crate) fn min_period<T: PartialEq>(s: &[T]) -> usize {
+    let k = s.len();
+    (1..k).find(|&p| k % p == 0 && (p..k).all(|j| s[j] == s[j - p])).unwrap_or(k)
+}
+
+fn lcm(a: u64, b: u64) -> u64 {
+    let (mut x, mut y) = (a, b);
+    while y != 0 {
+        (x, y) = (y, x % y);
+    }
+    a / x * b
 }
 
 /// A run of contiguous pages sharing one placement rule.
@@ -72,14 +118,38 @@ impl Extent {
     /// Node of absolute page `page` (must lie inside the extent).
     fn node_at(&self, page: u64) -> NodeId {
         debug_assert!(page >= self.start && page < self.start + self.len);
-        match &self.pat {
-            Pattern::Const(n) => *n,
-            Pattern::Cycle(nodes) => nodes[((page - self.start) % nodes.len() as u64) as usize],
-        }
+        self.pat.node(page - self.start)
     }
 
     fn end(&self) -> u64 {
         self.start + self.len
+    }
+
+    /// Absorb `next` (which starts where this extent ends) when one rule
+    /// covers both: this extent's rule carried on over `next`, or —
+    /// typically for a short stub — `next`'s rule carried back over this
+    /// one. Both rules are periodic, so one common period of comparisons
+    /// decides.
+    fn try_fuse(&mut self, next: &Extent) -> bool {
+        let k = lcm(self.pat.period(), next.pat.period());
+        if (0..next.len.min(k)).all(|j| next.pat.node(j) == self.pat.node(self.len + j)) {
+            self.len += next.len;
+            return true;
+        }
+        let p = next.pat.period();
+        let before = |j: u64| next.pat.node(p - j % p); // `j` pages before `next`
+        if (1..=self.len.min(k)).all(|j| self.pat.node(self.len - j) == before(j)) {
+            self.pat = match &next.pat {
+                Pattern::Const(n) => Pattern::Const(*n),
+                Pattern::Cycle(_) => {
+                    let shift = p - self.len % p;
+                    Pattern::Cycle((0..p).map(|i| next.pat.node(i + shift)).collect())
+                }
+            };
+            self.len += next.len;
+            return true;
+        }
+        false
     }
 
     /// Visit `(node, pages)` counts for the absolute sub-range `[a, b)`.
@@ -104,58 +174,40 @@ impl Extent {
     }
 }
 
+/// Append `e` to `out`, fusing it into the tail extent when one rule
+/// covers both.
+fn push_fused(out: &mut Vec<Extent>, e: Extent) {
+    if !out.last_mut().is_some_and(|last| last.try_fuse(&e)) {
+        out.push(e);
+    }
+}
+
 /// Number of integers `i` in `[a, b)` with `i % k == j`.
-fn slot_count(a: u64, b: u64, k: u64, j: u64) -> u64 {
+pub(crate) fn slot_count(a: u64, b: u64, k: u64, j: u64) -> u64 {
     let upto = |x: u64| if x <= j { 0 } else { (x - j - 1) / k + 1 };
     upto(b) - upto(a)
 }
 
-/// One maximal run of non-complying pages an `mbind` would migrate: `len`
-/// consecutive pages starting at `start`, all currently on `from`, all
-/// targeted at `to`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MoveRun {
-    /// First page of the run (segment-absolute).
-    pub start: u64,
-    /// Pages in the run.
-    pub len: u64,
-    /// Node currently holding the run.
-    pub from: NodeId,
-    /// Node the policy assigns the run to.
-    pub to: NodeId,
-}
-
-/// The target pattern of a policy over one block of a range.
-enum TargetPat {
-    Const(NodeId),
-    /// Relative page `r` of the *whole policy range* targets
-    /// `nodes[r % nodes.len()]`.
-    Cycle(Vec<NodeId>),
-}
-
 /// Decompose `policy` over a range of `range_len` pages into blocks of
-/// regular structure, each `(rel_start, len, pattern)`. Exactly mirrors
+/// regular structure, each `(rel_start, len, pattern)` with the pattern
+/// relative to the *whole policy range*. Exactly mirrors
 /// `MemPolicy::target_node` page by page: weighted-interleave block
 /// boundaries are found by binary search over the *original* per-page
 /// predicate (its mapping is monotone in the page index), so no float
 /// re-derivation can drift from the historical placement.
-fn policy_blocks(
-    policy: &MemPolicy,
-    range_len: u64,
-    toucher: NodeId,
-) -> Vec<(u64, u64, TargetPat)> {
+fn policy_blocks(policy: &MemPolicy, range_len: u64, toucher: NodeId) -> Vec<(u64, u64, Pattern)> {
     if range_len == 0 {
         return Vec::new();
     }
     match policy {
-        MemPolicy::FirstTouch => vec![(0, range_len, TargetPat::Const(toucher))],
-        MemPolicy::Bind(n) => vec![(0, range_len, TargetPat::Const(*n))],
+        MemPolicy::FirstTouch => vec![(0, range_len, Pattern::Const(toucher))],
+        MemPolicy::Bind(n) => vec![(0, range_len, Pattern::Const(*n))],
         MemPolicy::Interleave(set) => {
             let nodes = set.to_vec();
             if nodes.len() == 1 {
-                vec![(0, range_len, TargetPat::Const(nodes[0]))]
+                vec![(0, range_len, Pattern::Const(nodes[0]))]
             } else {
-                vec![(0, range_len, TargetPat::Cycle(nodes))]
+                vec![(0, range_len, Pattern::Cycle(nodes.into()))]
             }
         }
         MemPolicy::WeightedInterleave(_) => {
@@ -173,7 +225,7 @@ fn policy_blocks(
                         hi = mid;
                     }
                 }
-                blocks.push((cur, hi - cur, TargetPat::Const(node)));
+                blocks.push((cur, hi - cur, Pattern::Const(node)));
                 cur = hi;
             }
             blocks
@@ -193,22 +245,10 @@ pub struct Segment {
     extents: Vec<Extent>,
     /// Cached histogram: pages per node.
     node_counts: Vec<u64>,
-    /// Extent count that triggers the next compaction pass (doubles when
-    /// compaction cannot shrink the list, so aperiodic fragmentation
-    /// degrades gracefully instead of re-scanning every write).
-    compact_watermark: usize,
     /// Policy the segment was created under (later `mbind`s move pages but
     /// the creation policy records provenance for debugging).
     creation_policy: MemPolicy,
 }
-
-/// Extent count below which compaction never runs.
-const COMPACT_WATERMARK: usize = 64;
-/// Extents at most this long are expanded page-by-page during compaction
-/// (longer ones are structural and pass through unchanged).
-const COMPACT_SHORT: u64 = 4;
-/// Longest cycle period the compactor searches for.
-const COMPACT_MAX_PERIOD: usize = 64;
 
 impl Segment {
     /// Allocate and place `len` pages under `policy`. `toucher` is the node
@@ -244,19 +284,18 @@ impl Segment {
             len: 0,
             extents: Vec::new(),
             node_counts: vec![0u64; node_count],
-            compact_watermark: COMPACT_WATERMARK,
             creation_policy: policy.clone(),
         };
         for (_, block_len, pat) in policy_blocks(policy, len, toucher) {
             match pat {
-                TargetPat::Const(target) => {
+                Pattern::Const(target) => {
                     for (node, granted) in
                         frames.alloc_run(target, &fallback[target.idx()], block_len)?
                     {
                         seg.push_const(node, granted);
                     }
                 }
-                TargetPat::Cycle(nodes) => seg.place_cycle(&nodes, block_len, frames, fallback)?,
+                Pattern::Cycle(nodes) => seg.place_cycle(&nodes, block_len, frames, fallback)?,
             }
         }
         debug_assert_eq!(seg.len, len);
@@ -335,14 +374,7 @@ impl Segment {
             return;
         }
         self.node_counts[node.idx()] += len;
-        if let Some(last) = self.extents.last_mut() {
-            if matches!(&last.pat, Pattern::Const(n) if *n == node) {
-                last.len += len;
-                self.len += len;
-                return;
-            }
-        }
-        self.extents.push(Extent { start: self.len, len, pat: Pattern::Const(node) });
+        push_fused(&mut self.extents, Extent { start: self.len, len, pat: Pattern::Const(node) });
         self.len += len;
     }
 
@@ -352,14 +384,10 @@ impl Segment {
         if len == 0 {
             return;
         }
-        if nodes.iter().all(|&n| n == nodes[0]) || len == 1 {
-            self.push_const(nodes[0], len);
-            return;
-        }
-        let ext =
-            Extent { start: self.len, len, pat: Pattern::Cycle(nodes.to_vec().into_boxed_slice()) };
+        let pat = if len == 1 { Pattern::Const(nodes[0]) } else { Pattern::cycle(nodes) };
+        let ext = Extent { start: self.len, len, pat };
         ext.for_each_count(ext.start, ext.end(), |n, c| self.node_counts[n.idx()] += c);
-        self.extents.push(ext);
+        push_fused(&mut self.extents, ext);
         self.len += len;
     }
 
@@ -442,8 +470,7 @@ impl Segment {
     }
 
     /// Move page `i` to `to`, updating the histogram. The caller is
-    /// responsible for frame accounting (this keeps migration atomic with
-    /// respect to [`FramePools`] in one place, the migration engine).
+    /// responsible for frame accounting.
     pub fn relocate(&mut self, i: u64, to: NodeId) {
         if self.node_of(i) == to {
             return;
@@ -453,110 +480,41 @@ impl Segment {
 
     /// Move the `len` pages starting at `start` to `to`, splitting the
     /// overlapped extents — the O(extents) bulk form of
-    /// [`Segment::relocate`] the range-based migration engine uses.
+    /// [`Segment::relocate`]. Page-table only: the caller accounts frames.
     pub fn relocate_run(&mut self, start: u64, len: u64, to: NodeId) {
-        assert!(start + len <= self.len, "relocate_run out of bounds");
+        let end = check_range(start, len, self.len).expect("relocate_run out of bounds");
         if len == 0 {
             return;
         }
-        let end = start + len;
-        let i0 = self.extent_index(start);
-        let mut i1 = i0;
-        while self.extents[i1].end() < end {
-            i1 += 1;
-        }
+        let (i0, i1) = (self.extent_index(start), self.extent_index(end - 1));
         // Histogram: drop the overlapped pages' old homes, add the new one.
         let mut counts_delta_applied = 0u64;
         for e in &self.extents[i0..=i1] {
-            let (a, b) = (start.max(e.start), end.min(e.end()));
             let counts = &mut self.node_counts;
-            e.for_each_count(a, b, |n, c| {
+            e.for_each_count(start.max(e.start), end.min(e.end()), |n, c| {
                 counts[n.idx()] -= c;
                 counts_delta_applied += c;
             });
         }
         debug_assert_eq!(counts_delta_applied, len);
         self.node_counts[to.idx()] += len;
-        // Rebuild the overlapped span: prefix of the first extent, the new
-        // constant run, suffix of the last extent.
-        let mut replacement: Vec<Extent> = Vec::with_capacity(3);
-        let first = &self.extents[i0];
-        if first.start < start {
-            replacement.push(trim(first, first.start, start));
-        }
-        replacement.push(Extent { start, len, pat: Pattern::Const(to) });
-        let last = &self.extents[i1];
-        if last.end() > end {
-            replacement.push(trim(last, end, last.end()));
-        }
-        self.extents.splice(i0..=i1, replacement);
-        self.merge_around(i0);
-        self.maybe_compact();
+        let (first, last) = (&self.extents[i0], &self.extents[i1]);
+        let prefix = (first.start < start).then(|| trim(first, first.start, start));
+        let suffix = (last.end() > end).then(|| trim(last, end, last.end()));
+        let mid = Extent { start, len, pat: Pattern::Const(to) };
+        self.replace(i0, i1, prefix.into_iter().chain([mid]).chain(suffix));
     }
 
-    /// Run a compaction pass when fragmentation crosses the watermark.
-    /// Migrating a range *into* an interleave pattern (the paper's
-    /// user-level Algorithm 1) splits constant extents into per-page
-    /// singletons; the drained region is exactly periodic, so compaction
-    /// re-fuses those stretches into `Cycle` extents and the list stays
-    /// O(pattern) instead of O(pages). Purely representational: the
-    /// page-to-node mapping is untouched.
-    fn maybe_compact(&mut self) {
-        if self.extents.len() <= self.compact_watermark {
-            return;
-        }
-        self.compact();
-        // If the list would not shrink (genuinely aperiodic placement),
-        // back off so writes stay O(watermark) amortized.
-        self.compact_watermark = (self.extents.len() * 2).max(COMPACT_WATERMARK);
-    }
-
-    /// Rebuild the extent list, expanding stretches of short extents and
-    /// re-encoding them as the shortest periodic cycle (or merged constant
-    /// runs). Long extents pass through and re-merge at the seams.
-    fn compact(&mut self) {
-        let old = std::mem::take(&mut self.extents);
-        let mut out: Vec<Extent> = Vec::with_capacity(old.len().min(256));
-        let mut seq: Vec<NodeId> = Vec::new();
-        let mut seq_start = 0u64;
-        for e in &old {
-            if e.len <= COMPACT_SHORT {
-                if seq.is_empty() {
-                    seq_start = e.start;
-                }
-                for p in e.start..e.end() {
-                    seq.push(e.node_at(p));
-                }
-            } else {
-                flush_seq(&mut out, seq_start, &mut seq);
-                append_extent(&mut out, e.clone());
-            }
-        }
-        flush_seq(&mut out, seq_start, &mut seq);
-        self.extents = out;
-    }
-
-    /// Merge mergeable neighbors in `extents[idx.saturating_sub(1)..=idx+2]`
-    /// after a splice at `idx`.
-    fn merge_around(&mut self, idx: usize) {
-        let mut i = idx.saturating_sub(1);
-        while i + 1 < self.extents.len() && i <= idx + 2 {
-            let (a, b) = (&self.extents[i], &self.extents[i + 1]);
-            let merged = match (&a.pat, &b.pat) {
-                (Pattern::Const(x), Pattern::Const(y)) if x == y => true,
-                (Pattern::Cycle(xs), Pattern::Cycle(ys)) if xs.len() == ys.len() => {
-                    // b is the aligned continuation of a's cycle.
-                    let k = xs.len() as u64;
-                    let shift = (a.len % k) as usize;
-                    (0..xs.len()).all(|j| ys[j] == xs[(shift + j) % xs.len()])
-                }
-                _ => false,
-            };
-            if merged {
-                self.extents[i].len += self.extents[i + 1].len;
-                self.extents.remove(i + 1);
-            } else {
-                i += 1;
+    /// Replace `extents[i0..=i1]` by `new` (covering the same pages) and
+    /// fuse every seam the splice created.
+    fn replace(&mut self, i0: usize, i1: usize, new: impl IntoIterator<Item = Extent>) {
+        let before = self.extents.len();
+        self.extents.splice(i0..=i1, new);
+        let past_new = i1 + 1 + self.extents.len() - before;
+        for i in (i0.max(1)..=past_new.min(self.extents.len() - 1)).rev() {
+            let (head, tail) = self.extents.split_at_mut(i);
+            if head[i - 1].try_fuse(&tail[0]) {
+                self.extents.remove(i);
             }
         }
     }
@@ -565,11 +523,10 @@ impl Segment {
     /// in ascending page order: `f(run_start, run_len, node)`. O(runs) for
     /// `Const` extents; `Cycle` extents yield their per-page alternation.
     pub fn for_each_run(&self, start: u64, len: u64, mut f: impl FnMut(u64, u64, NodeId) -> bool) {
-        assert!(start + len <= self.len, "run walk out of bounds");
+        let end = check_range(start, len, self.len).expect("run walk out of bounds");
         if len == 0 {
             return;
         }
-        let end = start + len;
         let mut idx = self.extent_index(start);
         let mut run_start = start;
         let mut run_node = self.extents[idx].node_at(start);
@@ -612,40 +569,32 @@ impl Segment {
         f(run_start, end - run_start, run_node);
     }
 
-    /// Pages in `[start, start+len)` that are **not** on the node `policy`
-    /// assigns them (relative to this range), as maximal
-    /// `(run, from, to)` moves in ascending page order. This is the page
-    /// set an `MPOL_MF_MOVE` `mbind` migrates, and the shape the range
-    /// migration queue consumes. O(extents + policy blocks + emitted
-    /// runs); wholly complying pieces — including a re-applied interleave
-    /// whose cycle aligns with the existing extents — are skipped without
-    /// touching their pages.
+    /// The pages of `[start, start+len)` that are **not** on the node
+    /// `policy` assigns them (relative to this range) — the page set an
+    /// `MPOL_MF_MOVE` `mbind` migrates — as ranges of segment `id` in
+    /// ascending page order. One range per (extent × policy block) piece:
+    /// the piece's (current node, target) rule is periodic, so a Const
+    /// extent rebound into an interleave is one patterned range whose
+    /// complying slots are holes, not one range per moved page. Wholly
+    /// complying pieces — including a re-applied interleave whose cycle
+    /// aligns with the existing extents — queue nothing. O(extents +
+    /// policy blocks) ranges, each built in O(period).
     pub fn non_complying_runs(
         &self,
+        id: SegmentId,
         start: u64,
         len: u64,
         policy: &MemPolicy,
         toucher: NodeId,
-    ) -> Result<Vec<MoveRun>, SimError> {
-        if start + len > self.len {
-            return Err(SimError::RangeOutOfBounds { start, len, segment_len: self.len });
-        }
-        let mut moves: Vec<MoveRun> = Vec::new();
+    ) -> Result<Vec<PendingRange>, SimError> {
+        let end = check_range(start, len, self.len)?;
+        let mut ranges: Vec<PendingRange> = Vec::new();
         if matches!(policy, MemPolicy::FirstTouch) || len == 0 {
             // First-touch never migrates existing pages.
-            return Ok(moves);
+            return Ok(ranges);
         }
-        let push = |moves: &mut Vec<MoveRun>, p: u64, l: u64, from: NodeId, to: NodeId| {
-            if let Some(m) = moves.last_mut() {
-                if m.from == from && m.to == to && m.start + m.len == p {
-                    m.len += l;
-                    return;
-                }
-            }
-            moves.push(MoveRun { start: p, len: l, from, to });
-        };
         let blocks = policy_blocks(policy, len, toucher);
-        let end = start + len;
+        let mut slots: Vec<(NodeId, NodeId)> = Vec::new();
         let mut pos = start;
         let mut ext_idx = self.extent_index(start);
         let mut blk_idx = 0usize;
@@ -653,47 +602,17 @@ impl Segment {
             let e = &self.extents[ext_idx];
             let (b_rel, b_len, b_pat) = &blocks[blk_idx];
             let b_end = start + b_rel + b_len;
-            let piece_end = e.end().min(b_end).min(end);
-            match (&e.pat, b_pat) {
-                (Pattern::Const(c), TargetPat::Const(t)) => {
-                    if c != t {
-                        push(&mut moves, pos, piece_end - pos, *c, *t);
-                    }
-                }
-                (Pattern::Const(c), TargetPat::Cycle(tn)) => {
-                    let k = tn.len() as u64;
-                    for p in pos..piece_end {
-                        let t = tn[((p - start) % k) as usize];
-                        if t != *c {
-                            push(&mut moves, p, 1, *c, t);
-                        }
-                    }
-                }
-                (Pattern::Cycle(sn), TargetPat::Const(t)) => {
-                    let k = sn.len() as u64;
-                    for p in pos..piece_end {
-                        let c = sn[((p - e.start) % k) as usize];
-                        if c != *t {
-                            push(&mut moves, p, 1, c, *t);
-                        }
-                    }
-                }
-                (Pattern::Cycle(sn), TargetPat::Cycle(tn)) => {
-                    let (sk, tk) = (sn.len() as u64, tn.len() as u64);
-                    let aligned = sk == tk
-                        && (0..sk).all(|j| {
-                            sn[(((pos - e.start) + j) % sk) as usize]
-                                == tn[(((pos - start) + j) % tk) as usize]
-                        });
-                    if !aligned {
-                        for p in pos..piece_end {
-                            let c = sn[((p - e.start) % sk) as usize];
-                            let t = tn[((p - start) % tk) as usize];
-                            if c != t {
-                                push(&mut moves, p, 1, c, t);
-                            }
-                        }
-                    }
+            let piece_end = e.end().min(b_end);
+            // One period of (current node, target) slots from `pos` on.
+            slots.clear();
+            slots.extend(
+                (0..lcm(e.pat.period(), b_pat.period()))
+                    .map(|j| (e.pat.node(pos - e.start + j), b_pat.node(pos - start + j))),
+            );
+            if let Some(pat) = MovePattern::from_slots(&slots) {
+                let r = PendingRange { segment: id, start: pos, len: piece_end - pos, pat };
+                if r.moved() > 0 && !ranges.last_mut().is_some_and(|last| last.try_append(&r)) {
+                    ranges.push(r);
                 }
             }
             pos = piece_end;
@@ -706,12 +625,12 @@ impl Segment {
                 }
             }
         }
-        Ok(moves)
+        Ok(ranges)
     }
 
-    /// Per-page expansion of [`Segment::non_complying_runs`] — the
-    /// historical interface, kept for tests and callers that want the
-    /// explicit page list.
+    /// Per-page expansion of [`Segment::non_complying_runs`] as
+    /// `(page, target)` — the historical interface, kept for tests and
+    /// callers that want the explicit page list.
     pub fn non_complying(
         &self,
         start: u64,
@@ -719,83 +638,134 @@ impl Segment {
         policy: &MemPolicy,
         toucher: NodeId,
     ) -> Result<Vec<(u64, NodeId)>, SimError> {
-        let runs = self.non_complying_runs(start, len, policy, toucher)?;
-        let mut moves = Vec::new();
-        for r in runs {
-            for p in r.start..r.start + r.len {
-                moves.push((p, r.to));
-            }
-        }
-        Ok(moves)
+        let ranges = self.non_complying_runs(SegmentId(0), start, len, policy, toucher)?;
+        Ok(ranges.iter().flat_map(|r| r.moves().map(|(p, _, to)| (p, to))).collect())
     }
-}
 
-/// Append `e` to a compaction output list, merging with the tail when the
-/// rule of [`Segment::merge_around`] applies (same-node constants; aligned
-/// cycle continuations).
-fn append_extent(out: &mut Vec<Extent>, e: Extent) {
-    if let Some(last) = out.last_mut() {
-        debug_assert_eq!(last.end(), e.start);
-        let merged = match (&last.pat, &e.pat) {
-            (Pattern::Const(x), Pattern::Const(y)) if x == y => true,
-            (Pattern::Cycle(xs), Pattern::Cycle(ys)) if xs.len() == ys.len() => {
-                let k = xs.len();
-                let shift = (last.len % k as u64) as usize;
-                (0..k).all(|j| ys[j] == xs[(shift + j) % k])
-            }
-            _ => false,
-        };
-        if merged {
-            last.len += e.len;
+    /// Complete the queued moves of pages `[start, start + len)`, page
+    /// `start + i` following `pat.slot(i)`, in ascending page order
+    /// against the live page table and frame pools. A moved slot's page
+    /// lands when it is not already on its target and the target has a
+    /// free frame at that moment — after the pages before it released
+    /// theirs — and is dropped (left in place) otherwise; holes never
+    /// move. `landed(from, to, pages)` reports what moved, each slot's
+    /// pair in first-appearance page order.
+    ///
+    /// The span is rebuilt with one splice. Inside each overlapped extent
+    /// the (current node, target) rule is periodic, and whole periods are
+    /// applied in bulk for as long as their outcome provably repeats — the
+    /// way [`Segment::place`] batches spill regimes: when a destination
+    /// can run out (or a dropped slot's destination gains room), the batch
+    /// ends at that period boundary and the outcome is recomputed.
+    pub fn migrate_range(
+        &mut self,
+        start: u64,
+        len: u64,
+        pat: &MovePattern,
+        frames: &mut FramePools,
+        landed: impl FnMut(NodeId, NodeId, u64),
+    ) {
+        let end = check_range(start, len, self.len).expect("migrate_range out of bounds");
+        if len == 0 {
             return;
         }
-    }
-    out.push(e);
-}
-
-/// Longest prefix of `s` that is `k`-periodic (`s[j] == s[j-k]` for all
-/// `k <= j <` the returned length).
-fn periodic_run(s: &[NodeId], k: usize) -> usize {
-    let mut l = k.min(s.len());
-    while l < s.len() && s[l] == s[l - k] {
-        l += 1;
-    }
-    l
-}
-
-/// Re-encode an expanded page-to-node sequence starting at `seq_start` by
-/// greedily emitting the longest periodic run at each position — the
-/// shape a drained user-level interleave leaves behind is piecewise
-/// periodic (one pattern per Algorithm-1 sub-range, seams between them),
-/// and greedy segmentation compresses each piece independently. Clears
-/// `seq`.
-fn flush_seq(out: &mut Vec<Extent>, seq_start: u64, seq: &mut Vec<NodeId>) {
-    let mut i = 0usize;
-    while i < seq.len() {
-        let rest = &seq[i..];
-        // Longest periodic run over all candidate periods; ties prefer the
-        // shortest period (a k-run is also a 2k-run).
-        let mut best_k = 1;
-        let mut best_l = periodic_run(rest, 1);
-        for k in 2..=COMPACT_MAX_PERIOD.min(rest.len()) {
-            if best_l == rest.len() {
-                break;
-            }
-            let l = periodic_run(rest, k);
-            if l > best_l {
-                best_k = k;
-                best_l = l;
-            }
+        let (i0, i1) = (self.extent_index(start), self.extent_index(end - 1));
+        let first = &self.extents[i0];
+        let mut splice = Splice { frames, counts: &mut self.node_counts, out: Vec::new(), landed };
+        if first.start < start {
+            splice.out.push(trim(first, first.start, start));
         }
-        let pat = if best_k == 1 {
-            Pattern::Const(rest[0])
-        } else {
-            Pattern::Cycle(rest[..best_k].to_vec().into_boxed_slice())
-        };
-        append_extent(out, Extent { start: seq_start + i as u64, len: best_l as u64, pat });
-        i += best_l;
+        for e in &self.extents[i0..=i1] {
+            let (a, b) = (start.max(e.start), end.min(e.end()));
+            splice.piece(e, a, b, pat, a - start);
+        }
+        let last = &self.extents[i1];
+        if last.end() > end {
+            push_fused(&mut splice.out, trim(last, end, last.end()));
+        }
+        let out = splice.out;
+        self.replace(i0, i1, out);
     }
-    seq.clear();
+}
+
+/// The state one [`Segment::migrate_range`] threads through its pieces.
+struct Splice<'a, F> {
+    frames: &'a mut FramePools,
+    counts: &'a mut [u64],
+    /// Replacement extents for the span, fused as they are pushed.
+    out: Vec<Extent>,
+    landed: F,
+}
+
+impl<F: FnMut(NodeId, NodeId, u64)> Splice<'_, F> {
+    /// Complete the moves over pages `[a, b)` of extent `e`, page `a + i`
+    /// following `pat.slot(off + i)`.
+    fn piece(&mut self, e: &Extent, a: u64, b: u64, pat: &MovePattern, off: u64) {
+        let n = b - a;
+        // One period of the combined rule from page `a` (or the whole
+        // piece if shorter): the page's node now, and where it should go
+        // (`None` for a hole or a page already there).
+        let t = lcm(e.pat.period(), pat.period()).min(n) as usize;
+        let cur: Vec<NodeId> = (0..t as u64).map(|j| e.pat.node(a - e.start + j)).collect();
+        let dst: Vec<Option<NodeId>> = (0..t)
+            .map(|j| {
+                let (from, to) = pat.slot(off + j as u64);
+                (from != to && to != cur[j]).then_some(to)
+            })
+            .collect();
+        if dst.iter().all(Option::is_none) {
+            push_fused(&mut self.out, trim(e, a, b));
+            return;
+        }
+        let mut res = cur.clone();
+        let mut room = vec![0u64; t];
+        let mut net = vec![0i64; self.counts.len()];
+        let mut done = 0u64;
+        while done < n {
+            let m = (t as u64).min(n - done) as usize;
+            // Dry-run one period on the live pools: `room[j]` is the free
+            // frames slot j's destination has just before it, `net` each
+            // node's free-frame change over the period.
+            net.fill(0);
+            for j in 0..m {
+                res[j] = cur[j];
+                let Some(to) = dst[j] else { continue };
+                room[j] = (self.frames.free(to) as i64 + net[to.idx()]) as u64;
+                if room[j] > 0 {
+                    net[to.idx()] -= 1;
+                    net[cur[j].idx()] += 1;
+                    res[j] = to;
+                }
+            }
+            // Periods that provably repeat this outcome: a landing slot
+            // keeps landing while its room stays >= 1; a dropped one (room
+            // 0) keeps dropping while its destination gains nothing.
+            let mut periods = if m == t { (n - done) / t as u64 } else { 1 };
+            for j in 0..m {
+                let Some(to) = dst[j] else { continue };
+                let d = net[to.idx()];
+                if res[j] == to && d < 0 {
+                    periods = periods.min((room[j] - 1) / d.unsigned_abs() + 1);
+                } else if res[j] != to && d > 0 {
+                    periods = 1;
+                }
+            }
+            // Apply them: sources first, so every grant below is covered.
+            for j in (0..m).filter(|&j| res[j] != cur[j]) {
+                self.frames.release(cur[j], periods);
+            }
+            for j in (0..m).filter(|&j| res[j] != cur[j]) {
+                self.frames.alloc(res[j], periods).expect("room checked in the dry run");
+                self.counts[cur[j].idx()] -= periods;
+                self.counts[res[j].idx()] += periods;
+                (self.landed)(cur[j], res[j], periods);
+            }
+            let len = if m == t { periods * t as u64 } else { m as u64 };
+            let pat = Pattern::cycle(&res[..m]);
+            push_fused(&mut self.out, Extent { start: a + done, len, pat });
+            done += len;
+        }
+    }
 }
 
 /// The sub-extent of `e` covering absolute pages `[a, b)`, with cycle
@@ -1088,7 +1058,7 @@ mod tests {
     }
 
     #[test]
-    fn non_complying_runs_coalesce_and_skip_aligned_cycles() {
+    fn non_complying_runs_are_patterned_and_skip_aligned_cycles() {
         let mut f = frames();
         let set = NodeSet::from_nodes([NodeId(0), NodeId(1)]);
         let s = Segment::place(
@@ -1100,15 +1070,22 @@ mod tests {
             &no_fallback(4),
         )
         .unwrap();
+        let id = SegmentId(0);
         // Re-applying the same interleave is a no-op detected at the
         // extent level, without touching pages.
-        let runs = s.non_complying_runs(0, 1000, &MemPolicy::Interleave(set), NodeId(0)).unwrap();
+        let runs =
+            s.non_complying_runs(id, 0, 1000, &MemPolicy::Interleave(set), NodeId(0)).unwrap();
         assert!(runs.is_empty());
-        // Binding everything to node 0 moves exactly the node-1 slots.
-        let runs = s.non_complying_runs(0, 1000, &MemPolicy::Bind(NodeId(0)), NodeId(0)).unwrap();
-        assert_eq!(runs.len(), 500);
-        assert!(runs.iter().all(|r| r.len == 1 && r.from == NodeId(1) && r.to == NodeId(0)));
-        // A bind over a constant extent is a single coalesced run.
+        // Binding everything to node 0 moves exactly the node-1 slots: one
+        // range whose node-0 slots are holes.
+        let runs =
+            s.non_complying_runs(id, 0, 1000, &MemPolicy::Bind(NodeId(0)), NodeId(0)).unwrap();
+        assert_eq!(runs.len(), 1);
+        assert_eq!(runs[0].moved(), 500);
+        assert!(runs[0]
+            .moves()
+            .all(|(p, from, to)| p % 2 == 1 && from == NodeId(1) && to == NodeId(0)));
+        // A bind over a constant extent is a single constant range.
         let mut f2 = frames();
         let s2 = Segment::place(
             SegmentKind::Shared,
@@ -1119,8 +1096,78 @@ mod tests {
             &no_fallback(4),
         )
         .unwrap();
-        let runs = s2.non_complying_runs(0, 1000, &MemPolicy::Bind(NodeId(3)), NodeId(0)).unwrap();
-        assert_eq!(runs, vec![MoveRun { start: 0, len: 1000, from: NodeId(2), to: NodeId(3) }]);
+        let runs =
+            s2.non_complying_runs(id, 0, 1000, &MemPolicy::Bind(NodeId(3)), NodeId(0)).unwrap();
+        assert_eq!(runs, vec![PendingRange::constant(id, 0, 1000, NodeId(2), NodeId(3))]);
+    }
+
+    /// Queue an interleave rebind of `s` and complete it in chunks of
+    /// `chunk` moved pages, returning the pages that landed.
+    fn drain(s: &mut Segment, f: &mut FramePools, policy: &MemPolicy, chunk: usize) -> u64 {
+        let mut q = crate::mem::migrate::MigrationQueue::new();
+        q.enqueue_ranges(
+            s.non_complying_runs(SegmentId(0), 0, s.len(), policy, NodeId(0)).unwrap(),
+        );
+        let mut landed = 0;
+        while !q.is_empty() {
+            for r in q.complete(chunk) {
+                s.migrate_range(r.start, r.len, &r.pat, f, |_, _, pages| landed += pages);
+            }
+        }
+        landed
+    }
+
+    #[test]
+    fn interleave_rebind_completes_into_one_cycle_extent() {
+        let mut f = frames();
+        let mut s = Segment::place(
+            SegmentKind::Shared,
+            10_000,
+            &MemPolicy::FirstTouch,
+            NodeId(0),
+            &mut f,
+            &no_fallback(4),
+        )
+        .unwrap();
+        let set = NodeSet::from_nodes([NodeId(0), NodeId(1), NodeId(2)]);
+        // Odd chunks split the range mid-cycle; the pieces still fuse.
+        let landed = drain(&mut s, &mut f, &MemPolicy::Interleave(set), 333);
+        assert_eq!(landed, 6666);
+        assert_eq!(s.extent_count(), 1, "{:?}", s.extents);
+        assert_eq!(s.node_counts(), &[3334, 3333, 3333, 0]);
+        for n in 0..3u16 {
+            assert_eq!(f.used(NodeId(n)), s.node_counts()[n as usize]);
+        }
+        assert_eq!(s.node_of(4), NodeId(1));
+    }
+
+    #[test]
+    fn completion_drops_what_a_full_destination_cannot_hold() {
+        let m = machines::twin();
+        let mut f = FramePools::from_machine(&m);
+        let cap1 = f.capacity(NodeId(1));
+        f.alloc(NodeId(1), cap1 - 5).unwrap();
+        let mut s = Segment::place(
+            SegmentKind::Shared,
+            40,
+            &MemPolicy::FirstTouch,
+            NodeId(0),
+            &mut f,
+            &no_fallback(2),
+        )
+        .unwrap();
+        let set = NodeSet::from_nodes([NodeId(0), NodeId(1)]);
+        let landed = drain(&mut s, &mut f, &MemPolicy::Interleave(set), 7);
+        // Per page: the first five odd pages land on node 1, then it is
+        // full and the other fifteen stay on node 0.
+        assert_eq!(landed, 5);
+        assert_eq!(s.node_counts(), &[35, 5]);
+        assert_eq!(f.free(NodeId(1)), 0);
+        for p in 0..40u64 {
+            let want = if p % 2 == 1 && p < 10 { 1 } else { 0 };
+            assert_eq!(s.node_of(p), NodeId(want), "page {p}");
+        }
+        assert!(s.extent_count() <= 2, "{:?}", s.extents);
     }
 
     #[test]

@@ -1,15 +1,17 @@
-//! Equivalence suite: the extent-based [`Segment`] against a naive
-//! per-page reference model (the historical `Vec<u16>` implementation,
-//! re-stated here verbatim). Random machines, random pre-pressure on the
-//! frame pools (to force spill), random policies and random
-//! place/relocate/mbind traces must agree on every observable: `node_of`
-//! for every page, `node_counts`, distributions, frame accounting, the
-//! non-complying move set, and the expanded contents of the migration
-//! queue.
+//! Equivalence suite: the extent-based [`Segment`] and the patterned
+//! migration queue against a naive per-page reference model (the
+//! historical `Vec<u16>` page table and per-page move queue, re-stated
+//! here verbatim). Random machines, random pre-pressure on the frame pools
+//! (to force spill and dropped migrations), random policies and random
+//! place/relocate/mbind/complete traces must agree on every observable:
+//! `node_of` for every page, `node_counts`, distributions, frame
+//! accounting, the non-complying move set, the expanded contents of the
+//! migration queue, the per-pair demand of a partial drain and its order,
+//! and which completed pages landed or were dropped.
 
 use bwap_topology::{MemClass, NodeId, NodeSet, NodeSpec, TopologyBuilder};
 use numasim::mem::frames::FramePools;
-use numasim::mem::migrate::{MigrationQueue, PendingRange};
+use numasim::mem::migrate::{MigrationQueue, MovePattern, PendingRange};
 use numasim::mem::segment::{Segment, SegmentId, SegmentKind};
 use numasim::MemPolicy;
 use proptest::prelude::*;
@@ -235,35 +237,23 @@ proptest! {
                     let q_policy = random_policy(&mut rng, n);
                     let q_toucher = NodeId(rng.gen_range(0..n) as u16);
                     let runs = seg
-                        .non_complying_runs(start, l, &q_policy, q_toucher)
+                        .non_complying_runs(SegmentId(0), start, l, &q_policy, q_toucher)
                         .expect("range in bounds");
-                    let expanded: Vec<(u64, NodeId)> = runs
-                        .iter()
-                        .flat_map(|r| (r.start..r.start + r.len).map(|p| (p, r.to)))
-                        .collect();
+                    let expanded: Vec<(u64, NodeId)> =
+                        runs.iter().flat_map(|r| r.moves().map(|(p, _, to)| (p, to))).collect();
                     let want = reference.non_complying(start, l, &q_policy, q_toucher);
                     prop_assert_eq!(&expanded, &want);
-                    // `from` on every run matches the page table.
-                    for r in &runs {
-                        for p in r.start..r.start + r.len {
-                            prop_assert_eq!(r.from, seg.node_of(p));
-                        }
+                    // `from` on every moved page matches the page table.
+                    for (p, from, _) in runs.iter().flat_map(|r| r.moves()) {
+                        prop_assert_eq!(from, seg.node_of(p));
                     }
                     // Queue round-trip: enqueued ranges expand to the same
                     // page sequence, FIFO order preserved.
                     let mut q = MigrationQueue::new();
-                    q.enqueue_ranges(runs.iter().map(|r| PendingRange {
-                        segment: SegmentId(0),
-                        start: r.start,
-                        len: r.len,
-                        from: r.from,
-                        to: r.to,
-                    }));
+                    q.enqueue_ranges(runs.iter().cloned());
                     prop_assert_eq!(q.pending(), want.len());
-                    let queued: Vec<(u64, NodeId)> = q
-                        .ranges()
-                        .flat_map(|r| (r.start..r.start + r.len).map(|p| (p, r.to)))
-                        .collect();
+                    let queued: Vec<(u64, NodeId)> =
+                        q.ranges().flat_map(|r| r.moves().map(|(p, _, to)| (p, to))).collect();
                     prop_assert_eq!(&queued, &want);
                 }
             }
@@ -275,7 +265,7 @@ proptest! {
     }
 
     /// `cancel_range` on the range queue drops exactly the pages a
-    /// per-page `retain` would.
+    /// per-page `retain` would, constant and patterned ranges alike.
     #[test]
     fn cancel_range_matches_per_page_retain(seed in 0u64..2000) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -285,12 +275,13 @@ proptest! {
             let segment = rng.gen_range(0..3usize);
             let start = rng.gen_range(0..200u64);
             let l = rng.gen_range(1..40u64);
-            let from = NodeId(rng.gen_range(0..4) as u16);
-            let to = NodeId(rng.gen_range(0..4) as u16);
-            q.enqueue_ranges([PendingRange { segment: SegmentId(segment), start, len: l, from, to }]);
-            for p in start..start + l {
-                model.push((segment, p, from, to));
-            }
+            let slots: Vec<(NodeId, NodeId)> = (0..rng.gen_range(1..6))
+                .map(|_| (NodeId(rng.gen_range(0..4) as u16), NodeId(rng.gen_range(0..4) as u16)))
+                .collect();
+            let Some(pat) = MovePattern::from_slots(&slots) else { continue };
+            let r = PendingRange { segment: SegmentId(segment), start, len: l, pat };
+            model.extend(r.moves().map(|(p, from, to)| (segment, p, from, to)));
+            q.enqueue_ranges([r]);
         }
         for _ in 0..5 {
             let segment = rng.gen_range(0..3usize);
@@ -304,8 +295,158 @@ proptest! {
         }
         let queued: Vec<(usize, u64, NodeId, NodeId)> = q
             .ranges()
-            .flat_map(|r| (r.start..r.start + r.len).map(|p| (r.segment.0, p, r.from, r.to)))
+            .flat_map(|r| r.moves().map(|(p, from, to)| (r.segment.0, p, from, to)))
             .collect();
         prop_assert_eq!(queued, model);
+    }
+}
+
+proptest! {
+    // Cheap cases (small segments); run many, because the rare outcomes
+    // — a full node that is both a destination and a source within one
+    // period — decide whether bulk completion is exact.
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    /// Random `mbind`s (cancel + enqueue, as the engine does), random
+    /// partial drains and foreign page moves on pre-pressured pools: the
+    /// patterned queue's per-pair demand for the next `attempt` pages, and
+    /// its completion by patterned splices, match the per-page reference —
+    /// demand counts and their first-appearance order, the landed pairs
+    /// and their order, the dropped pages, the page table, node counts and
+    /// frame pools.
+    #[test]
+    fn completion_matches_per_page_reference(seed in 0u64..4000) {
+        let m = random_machine(seed);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xd4a1_2e5e);
+        let n = m.node_count();
+        let fallback = nearest_fallback(&m);
+        let mut frames = FramePools::from_machine(&m);
+        let len = rng.gen_range(1..600u64);
+        let policy = random_policy(&mut rng, n);
+        let toucher = NodeId(rng.gen_range(0..n) as u16);
+        let mut ref_frames = frames.clone();
+        let mut seg = match Segment::place(SegmentKind::Shared, len, &policy, toucher, &mut frames, &fallback) {
+            Ok(s) => s,
+            Err(_) => return Ok(()),
+        };
+        let mut reference = RefSegment::place(len, &policy, toucher, &mut ref_frames, &fallback)
+            .expect("extent place succeeded");
+        // Pressure: leave each node only a few free frames (often none),
+        // so drains run destinations dry mid-range.
+        for i in 0..n {
+            let node = NodeId(i as u16);
+            let keep = if rng.gen_bool(0.4) { 0 } else { rng.gen_range(0..40u64) };
+            let keep = keep.min(frames.free(node));
+            let take = frames.free(node) - keep;
+            frames.alloc(node, take).unwrap();
+            ref_frames.alloc(node, take).unwrap();
+        }
+        let mut q = MigrationQueue::new();
+        let mut ref_q: Vec<(u64, NodeId, NodeId)> = Vec::new(); // (page, from, to)
+        for _ in 0..30 {
+            match rng.gen_range(0..4) {
+                0 => {
+                    // mbind with MPOL_MF_MOVE over a random sub-range.
+                    let start = rng.gen_range(0..len);
+                    let l = rng.gen_range(0..=len - start);
+                    let p = random_policy(&mut rng, n);
+                    let t = NodeId(rng.gen_range(0..n) as u16);
+                    q.cancel_range(SegmentId(0), start, l);
+                    q.enqueue_ranges(seg.non_complying_runs(SegmentId(0), start, l, &p, t).unwrap());
+                    ref_q.retain(|&(pg, ..)| pg < start || pg >= start + l);
+                    for (pg, to) in reference.non_complying(start, l, &p, t) {
+                        ref_q.push((pg, NodeId(reference.pages[pg as usize]), to));
+                    }
+                }
+                1 => {
+                    // Another agent moves a page (frames permitting), so
+                    // queued `from`s can go stale.
+                    let pg = rng.gen_range(0..len);
+                    let to = NodeId(rng.gen_range(0..n) as u16);
+                    let from = seg.node_of(pg);
+                    if from != to && frames.free(to) > 0 {
+                        for f in [&mut frames, &mut ref_frames] {
+                            f.alloc(to, 1).unwrap();
+                            f.release(from, 1);
+                        }
+                        seg.relocate(pg, to);
+                        reference.relocate(pg, to);
+                    }
+                }
+                _ => {
+                    prop_assert_eq!(q.pending(), ref_q.len());
+                    if ref_q.is_empty() {
+                        continue;
+                    }
+                    // Demand of the next `attempt` pages, as the engine
+                    // builds it.
+                    let attempt = rng.gen_range(1..=ref_q.len());
+                    let mut want = Tally::default();
+                    for &(_, from, to) in &ref_q[..attempt] {
+                        want.add(from, to, 1);
+                    }
+                    let mut got = Tally::default();
+                    let mut left = attempt as u64;
+                    for r in q.ranges() {
+                        let take = r.moved().min(left);
+                        left -= take;
+                        r.for_each_prefix_slot(take, |from, to, c| got.add(from, to, c));
+                    }
+                    prop_assert_eq!(&got.0, &want.0);
+                    // Complete `k` pages.
+                    let k = rng.gen_range(1..=ref_q.len());
+                    let mut want_landed = Tally::default();
+                    let mut want_dropped = Vec::new();
+                    for (pg, _, to) in ref_q.drain(..k) {
+                        let cur = NodeId(reference.pages[pg as usize]);
+                        if cur == to {
+                            continue;
+                        }
+                        if ref_frames.free(to) == 0 {
+                            want_dropped.push(pg);
+                            continue;
+                        }
+                        ref_frames.alloc(to, 1).unwrap();
+                        ref_frames.release(cur, 1);
+                        reference.relocate(pg, to);
+                        want_landed.add(cur, to, 1);
+                    }
+                    let done = q.complete(k);
+                    let mut got_landed = Tally::default();
+                    for r in &done {
+                        seg.migrate_range(r.start, r.len, &r.pat, &mut frames, |from, to, c| {
+                            got_landed.add(from, to, c)
+                        });
+                    }
+                    let got_dropped: Vec<u64> = done
+                        .iter()
+                        .flat_map(|r| r.moves())
+                        .filter(|&(pg, _, to)| seg.node_of(pg) != to)
+                        .map(|(pg, ..)| pg)
+                        .collect();
+                    prop_assert_eq!(&got_landed.0, &want_landed.0);
+                    prop_assert_eq!(got_dropped, want_dropped);
+                }
+            }
+            for i in 0..n {
+                prop_assert_eq!(frames.used(NodeId(i as u16)), ref_frames.used(NodeId(i as u16)));
+            }
+        }
+        assert_equal(&seg, &reference);
+        let queued: Vec<(u64, NodeId, NodeId)> = q.ranges().flat_map(|r| r.moves()).collect();
+        prop_assert_eq!(queued, ref_q);
+    }
+}
+
+/// Page counts per `(from, to)` pair in first-appearance order.
+#[derive(Default, Debug)]
+struct Tally(Vec<((NodeId, NodeId), u64)>);
+
+impl Tally {
+    fn add(&mut self, from: NodeId, to: NodeId, pages: u64) {
+        match self.0.iter_mut().find(|(pair, _)| *pair == (from, to)) {
+            Some((_, c)) => *c += pages,
+            None => self.0.push(((from, to), pages)),
+        }
     }
 }

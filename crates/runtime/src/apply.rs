@@ -99,6 +99,52 @@ mod tests {
     }
 
     #[test]
+    fn user_level_rebind_of_a_million_pages_stays_o_blocks() {
+        // Algorithm 1 rebinds sub-ranges of a weighted-interleave segment
+        // into uniform interleaves. Queued as patterned ranges, that is a
+        // handful of ranges, not one per page; completed as patterned
+        // splices, the drained segment is a handful of extents, never
+        // per-page fragments.
+        let mut sim = Simulator::new(machines::machine_b(), SimConfig::default());
+        let profile = AppProfile {
+            name: "big".into(),
+            read_gbps_per_thread: 1.0,
+            write_gbps_per_thread: 0.0,
+            private_frac: 0.0,
+            latency_sensitivity: 0.0,
+            serial_frac: 0.0,
+            multinode_penalty: 0.0,
+            shared_pages: 1_000_000,
+            private_pages_per_thread: 0,
+            total_traffic_gb: f64::INFINITY,
+            open_loop: false,
+        };
+        let pid = sim
+            .spawn(
+                profile,
+                NodeSet::from_nodes([NodeId(0), NodeId(1)]),
+                None,
+                MemPolicy::WeightedInterleave(vec![0.1, 0.2, 0.3, 0.4]),
+            )
+            .unwrap();
+        let seg = sim.process(pid).unwrap().shared_seg;
+        let queued = apply_weights(&mut sim, pid, &weights(), InterleaveMode::UserLevel).unwrap();
+        assert!(queued > 300_000, "{queued} pages queued");
+        let ranges = sim.process(pid).unwrap().migrations.range_count();
+        assert!(ranges <= 64, "{ranges} ranges queued");
+        while sim.pending_migrations(pid) > 0 {
+            sim.step();
+        }
+        assert_eq!(sim.migrated_pages(pid), queued as u64);
+        let segment = sim.process(pid).unwrap().aspace.segment(seg).unwrap();
+        assert!(segment.extent_count() <= 64, "{} extents", segment.extent_count());
+        let d = segment.distribution();
+        for (i, &target) in weights().as_slice().iter().enumerate() {
+            assert!((d[i] - target).abs() < 0.01, "node {i}: {d:?}");
+        }
+    }
+
+    #[test]
     fn kernel_and_user_level_agree_within_paper_bound() {
         // The paper reports <= 3% end-to-end difference; at the placement
         // level the two modes should land within a few percent per node.
