@@ -29,16 +29,21 @@
 //! warm rerun (or a killed campaign restarted) replays every stored cell
 //! and executes only the remainder, byte-identically. `--dedup off`
 //! disables the exact intra-campaign deduplication (on by default; see
-//! `docs/PERFORMANCE.md`). `--remote host:port,...` farms the deduped,
-//! uncached cells out to `campaign_worker` processes and merges their
-//! results through the same cache path; a failed worker degrades to local
-//! execution. `--deterministic` additionally writes the volatile-free
-//! report (`*.deterministic.json`) for byte-for-byte comparison in CI.
+//! `docs/PERFORMANCE.md`). Descriptors leave the cell seed out, so
+//! sub-campaigns run on different machines against one shared
+//! `--cache-dir` fill it for the full spec, which then replays every
+//! cell (`docs/ROBUSTNESS.md`). `--deterministic` additionally writes the
+//! volatile-free report (`*.deterministic.json`) for byte-for-byte
+//! comparison in CI.
+//!
+//! `--faults SPEC` injects a seeded, replayable chaos schedule into the
+//! cell cache and the executor, e.g.
+//! `--faults 'cache-flip=0.35,journal-drop=0.5,seed=16'`; recoverable
+//! faults never change the deterministic report.
 
 use bwap_bench::cli::SpecArgs;
-use bwap_bench::worker::{coordinate, SupervisionConfig};
 use bwap_bench::ResultTable;
-use bwap_runtime::{run_campaign_with, CampaignConfig, CellCache, FaultPlan};
+use bwap_runtime::{run_campaign_with, CampaignConfig, FaultPlan};
 
 fn usage() -> ! {
     eprintln!(
@@ -51,12 +56,12 @@ fn usage() -> ! {
                 [--arrival-rates 0.5,2,...] [--fleet-jobs N]
                 [--seed N] [--threads N]
                 [--engine stepped|event] [--out DIR] [--trace DIR]
-                [--cache-dir DIR] [--dedup on|off] [--remote host:port,...]
+                [--cache-dir DIR] [--dedup on|off]
                 [--faults SPEC] [--deterministic] [--probe] [--quick]
        campaign --spec fig1a|fig4|table1|fig_tiered|fig_phases|fig_fleet|dwp_dedup
                 [--seed N]
                 [--threads N] [--engine stepped|event] [--out DIR] [--trace DIR]
-                [--cache-dir DIR] [--dedup on|off] [--remote host:port,...]
+                [--cache-dir DIR] [--dedup on|off]
                 [--faults SPEC] [--deterministic] [--quick]
 
 --spec renders a canned experiment campaign (its axes are fixed by the
@@ -66,19 +71,18 @@ durations (seconds). --engine selects the simulator's time engine (results
 are bit-identical; `event` strides over quiescent intervals — see
 docs/ARCHITECTURE.md). --trace writes one Chrome-trace file per cell into
 DIR (Perfetto / chrome://tracing; see docs/TRACING.md). --cache-dir
-memoizes cell outcomes on disk (warm reruns and kill-and-resume replay
-them byte-identically); --dedup off disables exact intra-campaign
-deduplication; --remote farms uncached cells out to campaign_worker
-processes under supervision — timeouts, bounded retries with backoff,
-partial-batch salvage and worker quarantine (see docs/PERFORMANCE.md and
-docs/ROBUSTNESS.md). --fleet appends a fleet axis: an open-loop Poisson
-stream of jobs drawn from the plain workload catalog arrives at the listed
-machine mix, swept over --schedulers and --arrival-rates (jobs/s), with
---fleet-jobs jobs per stream; fleet cells report slowdown-vs-solo tail
-percentiles (see docs/FLEET.md). --faults injects a seeded, replayable fault schedule
-(e.g. 'disconnect=0.5,cache-flip=0.25,seed=7'; seed defaults to the
-campaign seed) for chaos runs — recoverable faults never change the
-deterministic report."
+memoizes cell outcomes on disk (warm reruns, kill-and-resume, and
+sub-campaigns run on other machines against a shared DIR all replay
+byte-identically; see docs/PERFORMANCE.md and docs/ROBUSTNESS.md);
+--dedup off disables exact intra-campaign deduplication. --fleet appends
+a fleet axis: an open-loop Poisson stream of jobs drawn from the plain
+workload catalog arrives at the listed machine mix, swept over
+--schedulers and --arrival-rates (jobs/s), with --fleet-jobs jobs per
+stream; fleet cells report slowdown-vs-solo tail percentiles (see
+docs/FLEET.md). --faults injects a seeded, replayable fault schedule into
+the cell cache and the executor (e.g. 'cache-flip=0.35,cell-delay=0.5:2,seed=7';
+seed defaults to the campaign seed) for chaos runs — recoverable faults
+never change the deterministic report."
     );
     std::process::exit(2);
 }
@@ -86,18 +90,15 @@ deterministic report."
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut sa = SpecArgs::default();
-    // `--quick` scales workload axes during parsing in the original CLI;
-    // SpecArgs applies it at build time, so order no longer matters.
     let mut threads = None;
     let mut out: Option<std::path::PathBuf> = None;
     let mut trace_dir: Option<std::path::PathBuf> = None;
     let mut cache_dir: Option<std::path::PathBuf> = None;
     let mut dedup = true;
-    let mut remote: Vec<String> = Vec::new();
     let mut deterministic = false;
     let mut faults_spec: Option<String> = None;
 
-    let mut it = args.iter().peekable();
+    let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = |flag: &str| -> String {
             match it.next() {
@@ -122,9 +123,6 @@ fn main() {
                         usage()
                     }
                 }
-            }
-            "--remote" => {
-                remote = value("--remote").split(',').map(str::to_string).collect();
             }
             "--deterministic" => deterministic = true,
             "--faults" => faults_spec = Some(value("--faults")),
@@ -164,49 +162,7 @@ fn main() {
         println!("fault injection on (seed {}): chaos run, report must not change", plan.seed());
     }
 
-    // Remote execution needs a cache to merge worker results through;
-    // without an explicit --cache-dir it uses a run-private scratch cache.
-    let mut scratch_cache: Option<std::path::PathBuf> = None;
-    if !remote.is_empty() && cache_dir.is_none() {
-        let dir = std::env::temp_dir().join(format!("bwap-campaign-remote-{}", std::process::id()));
-        scratch_cache = Some(dir.clone());
-        cache_dir = Some(dir);
-    }
-    if !remote.is_empty() {
-        let dir = cache_dir.as_deref().expect("cache dir set");
-        match CellCache::open_with(dir, faults.clone()) {
-            Some(cache) => {
-                let outcome = coordinate(
-                    &spec,
-                    &sa.to_args(),
-                    &remote,
-                    &cache,
-                    dedup,
-                    &SupervisionConfig::default(),
-                    faults.as_ref(),
-                );
-                println!(
-                    "remote: accepted {} cell(s) ({} salvaged from dying workers), \
-                     {} batch failure(s), {} left for local execution",
-                    outcome.accepted, outcome.salvaged, outcome.failed_batches, outcome.remaining
-                );
-                for addr in &outcome.quarantined {
-                    eprintln!("worker {addr}: quarantined after repeated failures");
-                }
-            }
-            None => {
-                eprintln!("cache dir {} unusable; running everything locally", dir.display())
-            }
-        }
-    }
-
-    let cfg = CampaignConfig {
-        threads,
-        trace_dir,
-        dedup,
-        cache_dir: cache_dir.clone(),
-        faults: faults.clone(),
-    };
+    let cfg = CampaignConfig { threads, trace_dir, dedup, cache_dir, faults };
     let report = run_campaign_with(&spec, &cfg);
     println!(
         "executed {} of {} cells ({} served by dedup or cache)",
@@ -255,9 +211,6 @@ fn main() {
     let traces = report.cells.iter().filter(|c| c.trace_path.is_some()).count();
     if traces > 0 {
         println!("wrote {traces} trace file(s)");
-    }
-    if let Some(dir) = scratch_cache {
-        let _ = std::fs::remove_dir_all(dir);
     }
     if failed > 0 {
         eprintln!("{failed} cell(s) failed");

@@ -14,10 +14,10 @@
 //!   overlap-heavy DWP-grid campaign with exact intra-sweep dedup on
 //!   (default: 24 declared cells, 12 executed) and off (24 executed).
 //! * `dwp_dedup_quick_supervised` — dedup-on again with a fault plan
-//!   attached whose rules all fire at rate 0: the chaos/supervision
-//!   machinery (per-cell fault decisions, executor panic isolation) is
-//!   pinned to add no measurable overhead on a fault-free run (see
-//!   `docs/ROBUSTNESS.md`).
+//!   attached whose rules all fire at rate 0: the fault-plan machinery
+//!   (per-cell fault decisions, executor panic isolation) is pinned to
+//!   add no measurable overhead on a fault-free run (see
+//!   `docs/ROBUSTNESS.md`; the key's name is historical).
 //! * `ocxl_campaign_quick` — an OC.XL-only campaign cell matrix on
 //!   `machine_tiered` (capacity spill + weighted interleave on ~1.6M
 //!   pages).
@@ -227,7 +227,7 @@ fn main() {
         executed.1
     );
 
-    // Supervision overhead guard: the same dedup-on campaign with a fault
+    // Fault-plan overhead guard: the same dedup-on campaign with a fault
     // plan attached whose every rule fires at rate 0 — every cell still
     // consults the plan and runs under the executor's panic isolation,
     // but no fault ever fires. This must cost nothing measurable.
@@ -246,7 +246,7 @@ fn main() {
     println!("dwp_dedup_quick_supervised: {t_sup:.3} s");
     assert!(
         t_sup <= t_on * 1.5 + 0.05,
-        "supervision must add no measurable overhead ({t_sup:.3}s vs {t_on:.3}s fault-free)"
+        "a fault plan must add no measurable overhead ({t_sup:.3}s vs {t_on:.3}s fault-free)"
     );
 
     let t = time_best(1, ocxl_campaign_quick);

@@ -1,17 +1,12 @@
-//! Shared campaign-spec CLI vocabulary.
+//! The campaign-spec CLI vocabulary.
 //!
-//! The `campaign` binary and the remote `campaign_worker` binary must
-//! agree *exactly* on how a flag vocabulary becomes a [`CampaignSpec`] —
-//! a coordinator ships its spec to workers as the canonical argument
-//! list ([`SpecArgs::to_args`]), and both sides rebuild the spec through
-//! the same [`SpecArgs::build`]. Since cell descriptors are computed
-//! from the built spec on both ends and verified byte-for-byte when
-//! results come back, any drift between coordinator and worker builds is
-//! detected, not silently merged.
-//!
-//! [`SpecArgs`] holds the axes in their raw textual form; parsing errors
-//! are `Err(String)` so binaries decide between `usage()` and an RPC
-//! error reply.
+//! [`SpecArgs`] holds the spec-defining axes of the `campaign` binary in
+//! their raw textual form and [`SpecArgs::build`] turns them into a
+//! validated [`CampaignSpec`]. Executor knobs (threads, trace/cache/output
+//! directories, dedup, fault plans) are not part of the vocabulary:
+//! [`SpecArgs::apply`] hands them back to the caller, because they never
+//! change a cell's result. Parsing errors are `Err(String)` so the binary
+//! decides how to report them.
 
 use bwap::BwapConfig;
 use bwap_runtime::{
@@ -22,9 +17,8 @@ use bwap_topology::{machines, MachineTopology};
 use bwap_workloads::{PhasedWorkload, WorkloadSpec};
 
 /// The spec-defining subset of the campaign CLI, in textual form.
-/// Executor knobs (threads, trace/cache/output directories, remote
-/// workers) are deliberately *not* here: they never change results and
-/// never travel to workers.
+/// Executor knobs (threads, trace/cache/output directories, dedup, fault
+/// plans) are deliberately *not* here: they never change results.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpecArgs {
     /// `--name` (ad-hoc campaigns).
@@ -124,85 +118,6 @@ impl SpecArgs {
             _ => return Ok(false),
         }
         Ok(true)
-    }
-
-    /// The canonical argument vector rebuilding this spec — what the
-    /// coordinator ships to remote workers. `parse` of the result is
-    /// `self` exactly.
-    pub fn to_args(&self) -> Vec<String> {
-        let mut a = Vec::new();
-        let mut push = |flag: &str, v: &str| {
-            a.push(flag.to_string());
-            a.push(v.to_string());
-        };
-        if !self.spec.is_empty() {
-            push("--spec", &self.spec);
-        } else {
-            push("--name", &self.name);
-            push("--machine", &self.machine);
-            push("--workloads", &self.workloads);
-            if !self.phased.is_empty() {
-                push("--phased", &self.phased);
-            }
-            if !self.phase_periods.is_empty() {
-                push("--phase-periods", &self.phase_periods);
-            }
-            push("--policies", &self.policies);
-            push("--scenarios", &self.scenarios);
-            push("--workers", &self.workers);
-            push("--dwps", &self.dwps);
-            if !self.fleet.is_empty() {
-                push("--fleet", &self.fleet);
-            }
-            if !self.schedulers.is_empty() {
-                push("--schedulers", &self.schedulers);
-            }
-            if !self.arrival_rates.is_empty() {
-                push("--arrival-rates", &self.arrival_rates);
-            }
-            if !self.fleet_jobs.is_empty() {
-                push("--fleet-jobs", &self.fleet_jobs);
-            }
-        }
-        push("--seed", &self.seed.to_string());
-        push("--engine", &self.engine);
-        if self.probe {
-            a.push("--probe".into());
-        }
-        if self.quick {
-            a.push("--quick".into());
-        }
-        a
-    }
-
-    /// Parse a pure spec argument vector (no executor knobs allowed) —
-    /// the worker side of [`SpecArgs::to_args`].
-    pub fn parse(args: &[String]) -> Result<SpecArgs, String> {
-        let mut sa = SpecArgs::default();
-        let mut i = 0usize;
-        while i < args.len() {
-            let flag = args[i].clone();
-            i += 1;
-            let mut missing = false;
-            {
-                let mut value = || {
-                    if i < args.len() {
-                        i += 1;
-                        args[i - 1].clone()
-                    } else {
-                        missing = true;
-                        String::new()
-                    }
-                };
-                if !sa.apply(&flag, &mut value)? {
-                    return Err(format!("unknown spec flag {flag:?}"));
-                }
-            }
-            if missing {
-                return Err(format!("{flag} needs a value"));
-            }
-        }
-        Ok(sa)
     }
 
     /// Build the [`CampaignSpec`] these arguments describe.
@@ -407,67 +322,9 @@ pub fn parse_dwp(s: &str) -> Result<DwpPoint, String> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn to_args_round_trips() {
-        let sa = SpecArgs {
-            workloads: "SC,OC".into(),
-            policies: "bwap,first-touch".into(),
-            dwps: "online,0.5".into(),
-            seed: 42,
-            quick: true,
-            ..Default::default()
-        };
-        let back = SpecArgs::parse(&sa.to_args()).expect("round trip");
-        assert_eq!(sa, back);
-        // Canned specs round-trip too, dropping the ignored axis flags.
-        let canned = SpecArgs { spec: "fig_phases".into(), quick: true, ..Default::default() };
-        let back = SpecArgs::parse(&canned.to_args()).expect("round trip");
-        assert_eq!(back.spec, "fig_phases");
-        assert!(back.quick);
-    }
-
-    /// Every spec-defining flag added since the worker protocol landed —
-    /// `--engine`, the phase axes, and the whole fleet vocabulary — must
-    /// survive the coordinator-to-worker round trip verbatim: `parse`
-    /// of `to_args` is identity on the raw textual form.
-    #[test]
-    fn to_args_round_trips_every_flag_since_the_worker_protocol() {
-        let sa = SpecArgs {
-            name: "everything".into(),
-            machine: "tiered".into(),
-            workloads: "SC,OC".into(),
-            phased: "phased-stream".into(),
-            phase_periods: "0.5,2".into(),
-            policies: "bwap,first-touch".into(),
-            scenarios: "standalone,coscheduled".into(),
-            workers: "1,2".into(),
-            dwps: "online,0.25".into(),
-            fleet: "b,tiered".into(),
-            schedulers: "round-robin,tier-aware".into(),
-            arrival_rates: "0.5,2".into(),
-            fleet_jobs: "6".into(),
-            seed: 1234,
-            engine: "event".into(),
-            probe: true,
-            quick: true,
-            spec: String::new(),
-        };
-        let back = SpecArgs::parse(&sa.to_args()).expect("round trip");
-        assert_eq!(sa, back);
-        // And a second hop is a fixpoint: to_args is canonical.
-        assert_eq!(sa.to_args(), back.to_args());
-        // Empty fleet flags stay absent from the canonical vector rather
-        // than round-tripping as empty strings.
-        let plain = SpecArgs::default();
-        let args = plain.to_args();
-        for fleet_flag in ["--fleet", "--schedulers", "--arrival-rates", "--fleet-jobs"] {
-            assert!(!args.contains(&fleet_flag.to_string()), "{fleet_flag} leaked into {args:?}");
-        }
-        assert_eq!(SpecArgs::parse(&args).expect("round trip"), plain);
-    }
-
-    /// Executor knobs never travel to workers: the pure spec vocabulary
-    /// rejects them outright instead of silently absorbing them.
+    /// Executor knobs are not spec vocabulary: `apply` hands every one
+    /// back to the caller (`Ok(false)`) without consuming its value, so
+    /// the binary parses it and it never reaches the spec.
     #[test]
     fn executor_knobs_are_rejected_by_the_spec_vocabulary() {
         for knob in [
@@ -476,13 +333,13 @@ mod tests {
             "--trace",
             "--cache-dir",
             "--dedup",
-            "--remote",
             "--deterministic",
             "--faults",
         ] {
-            let err = SpecArgs::parse(&[knob.to_string(), "x".to_string()])
-                .expect_err("executor knob must not parse as spec");
-            assert!(err.contains("unknown spec flag"), "{knob}: {err}");
+            let mut sa = SpecArgs::default();
+            let mut value = || -> String { panic!("{knob} must not consume a value") };
+            assert_eq!(sa.apply(knob, &mut value), Ok(false), "{knob}");
+            assert_eq!(sa, SpecArgs::default(), "{knob} must leave the spec untouched");
         }
     }
 
@@ -550,64 +407,15 @@ mod tests {
         }
     }
 
-    /// A fleet spec built on the coordinator and rebuilt on a worker from
-    /// the canonical argument vector enumerates identical cells —
-    /// including the fleet cells and their resolved descriptors.
-    #[test]
-    fn fleet_specs_agree_between_coordinator_and_worker() {
-        let sa = SpecArgs {
-            fleet: "b".into(),
-            schedulers: "round-robin".into(),
-            arrival_rates: "2".into(),
-            fleet_jobs: "2".into(),
-            quick: true,
-            ..Default::default()
-        };
-        let a = sa.build().expect("build");
-        let b = SpecArgs::parse(&sa.to_args()).expect("parse").build().expect("rebuild");
-        let (ca, cb) = (a.cells(), b.cells());
-        assert_eq!(ca.len(), cb.len());
-        assert!(ca.iter().any(|c| c.scheduler.is_some()), "fleet cells enumerated");
-        for (x, y) in ca.iter().zip(&cb) {
-            assert_eq!(x.key, y.key);
-            assert_eq!(
-                bwap_runtime::cell_descriptor(&a, x).text(),
-                bwap_runtime::cell_descriptor(&b, y).text()
-            );
-        }
-    }
-
-    #[test]
-    fn built_specs_agree_between_coordinator_and_worker() {
-        let sa = SpecArgs {
-            workloads: "SC".into(),
-            policies: "bwap".into(),
-            workers: "1,2".into(),
-            quick: true,
-            ..Default::default()
-        };
-        let a = sa.build().expect("build");
-        let b = SpecArgs::parse(&sa.to_args()).expect("parse").build().expect("rebuild");
-        let (ca, cb) = (a.cells(), b.cells());
-        assert_eq!(ca.len(), cb.len());
-        for (x, y) in ca.iter().zip(&cb) {
-            assert_eq!(x.key, y.key);
-            assert_eq!(x.seed, y.seed);
-            assert_eq!(
-                bwap_runtime::cell_descriptor(&a, x).text(),
-                bwap_runtime::cell_descriptor(&b, y).text()
-            );
-        }
-    }
-
     #[test]
     fn errors_are_reported_not_panicked() {
         assert!(parse_machine("z").is_err());
         assert!(parse_policy("nope").is_err());
         assert!(parse_dwp("1.5").is_err());
         assert!(parse_engine("warp").is_err());
-        assert!(SpecArgs::parse(&["--bogus".to_string()]).is_err());
-        assert!(SpecArgs::parse(&["--seed".to_string()]).is_err());
+        let mut sa = SpecArgs::default();
+        assert_eq!(sa.apply("--bogus", &mut || "x".to_string()), Ok(false));
+        assert!(sa.apply("--seed", &mut || "x".to_string()).is_err());
         let sa = SpecArgs { workloads: "NOPE".into(), ..Default::default() };
         assert!(sa.build().is_err());
     }

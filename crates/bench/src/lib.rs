@@ -12,14 +12,15 @@
 //!   per-cell Chrome-trace files).
 //! * [`tracecheck`] — the strict `trace_event` contract validator behind
 //!   the `tracecheck` binary and `tests/tracing.rs`.
-//! * [`cli`] — the shared campaign-spec flag vocabulary, round-trippable
-//!   to an argument vector so coordinators can ship specs to workers.
-//! * [`worker`] — the length-prefixed TCP protocol behind the
-//!   `campaign_worker` binary and `campaign --remote`.
+//! * [`cli`] — the campaign-spec flag vocabulary behind the `campaign`
+//!   binary: textual axis flags in, a validated `CampaignSpec` out.
 //! * The per-figure binaries in `src/bin/` are thin wrappers: declare a
 //!   spec, run the campaign, print the tables, save the artifacts. The
 //!   `campaign` binary runs ad-hoc specs straight from the command line
-//!   (`--trace DIR` records per-cell Chrome traces, `docs/TRACING.md`).
+//!   (`--trace DIR` records per-cell Chrome traces, `docs/TRACING.md`;
+//!   `--cache-dir DIR` memoizes cells on disk, and a directory shared
+//!   between machines spreads one campaign over them,
+//!   `docs/ROBUSTNESS.md`).
 //!
 //! # Examples
 //!
@@ -47,7 +48,6 @@ pub mod experiments;
 pub mod explorer;
 pub mod report;
 pub mod tracecheck;
-pub mod worker;
 
 pub use bwap_runtime::{run_parallel, run_parallel_with};
 pub use report::ResultTable;

@@ -14,6 +14,9 @@
 //!   against the locally computed descriptor on load. A 64-bit hash
 //!   collision (or a tampered file) costs a re-execution, never a wrong
 //!   result.
+//! * The header line carries a [`content_hash`] of everything after it,
+//!   verified on load: any single changed byte of the descriptor *or*
+//!   the outcome is a miss, never a wrong number.
 //! * Any malformed, truncated, or version-skewed entry is a miss.
 //!   Corruption is tolerated silently (the cell just runs); it is never
 //!   propagated.
@@ -28,7 +31,7 @@
 
 use super::faults::{FaultKind, FaultPlan};
 use crate::scenario::RunResult;
-use bwap::descriptor::CellDescriptor;
+use bwap::descriptor::{content_hash, CellDescriptor};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -36,7 +39,8 @@ use std::sync::Arc;
 
 /// Version tag of the entry file format (independent of the descriptor
 /// format version, which is checked via the embedded descriptor itself).
-const ENTRY_MAGIC: &str = "bwap-cell-cache v1";
+/// v2 added the body checksum to the header line; v1 entries are misses.
+const ENTRY_MAGIC: &str = "bwap-cell-cache v2";
 
 /// A persistent cell cache rooted at a directory.
 #[derive(Debug, Clone)]
@@ -161,12 +165,11 @@ impl CellCache {
     }
 }
 
-/// Serialize one entry: magic, descriptor (byte length + verbatim bytes),
-/// then the outcome with every float as a bit pattern.
+/// Serialize one entry: a header line (magic and the [`content_hash`] of
+/// the body), then the body — descriptor (byte length + verbatim bytes)
+/// and the outcome with every float as a bit pattern.
 pub fn encode_entry(desc: &CellDescriptor, outcome: &Result<RunResult, String>) -> String {
     let mut s = String::with_capacity(desc.text().len() + 512);
-    s.push_str(ENTRY_MAGIC);
-    s.push('\n');
     s.push_str(&format!("descriptor {}\n", desc.text().len()));
     s.push_str(desc.text());
     match outcome {
@@ -219,14 +222,21 @@ pub fn encode_entry(desc: &CellDescriptor, outcome: &Result<RunResult, String>) 
             s.push_str(&format!("error {}\n", escape(e)));
         }
     }
-    s
+    format!("{ENTRY_MAGIC} {:016x}\n{s}", content_hash(&s))
 }
 
 /// Parse an entry back into `(descriptor text, outcome)`. `None` on any
-/// structural problem — the caller treats that as a miss.
-pub fn decode_entry(text: &str) -> Option<(&str, Result<RunResult, String>)> {
-    let rest = text.strip_prefix(ENTRY_MAGIC)?.strip_prefix('\n')?;
-    let (len_line, rest) = rest.split_once('\n')?;
+/// structural problem or checksum mismatch — the caller treats that as a
+/// miss.
+fn decode_entry(text: &str) -> Option<(&str, Result<RunResult, String>)> {
+    let (header, body) = text.split_once('\n')?;
+    let checksum = header.strip_prefix(ENTRY_MAGIC)?.strip_prefix(' ')?;
+    // Compare the rendered text, not the parsed value: a case flip in a
+    // hex digit must be a miss too.
+    if checksum != format!("{:016x}", content_hash(body)) {
+        return None;
+    }
+    let (len_line, rest) = body.split_once('\n')?;
     let len: usize = len_line.strip_prefix("descriptor ")?.parse().ok()?;
     if !rest.is_char_boundary(len) || rest.len() < len {
         return None;
@@ -457,6 +467,41 @@ mod tests {
         // matches the computed descriptor byte-for-byte -> miss.
         std::fs::write(&path, full.replace("tag=scell-c", "tag=scell-X")).expect("skew");
         assert!(cache.load(&d).is_none());
+
+        // A v1 entry (no checksum in the header) from before the format
+        // bump: miss, so it re-executes once and is rewritten as v2.
+        let body = full.split_once('\n').expect("header").1;
+        std::fs::write(&path, format!("bwap-cell-cache v1\n{body}")).expect("v1");
+        assert!(cache.load(&d).is_none());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// Every single-bit flip of every byte of an entry is a miss — in the
+    /// header, the descriptor and the outcome alike. Verifying only the
+    /// descriptor let a flipped result digit through as a wrong result.
+    #[test]
+    fn every_single_bit_flip_is_a_miss() {
+        let dir = tmp("bit-flips");
+        let cache = CellCache::open(&dir).expect("open");
+        let d = desc("flip-cell");
+        let path = cache.entry_path(&d);
+        for outcome in [Ok(result()), Err("boom: 0xdeadbeef".to_string())] {
+            let entry = encode_entry(&d, &outcome).into_bytes();
+            std::fs::write(&path, &entry).expect("write");
+            assert!(cache.load(&d).is_some(), "the intact entry hits");
+            for i in 0..entry.len() {
+                for bit in 0..8 {
+                    let mut flipped = entry.clone();
+                    flipped[i] ^= 1 << bit;
+                    std::fs::write(&path, &flipped).expect("write");
+                    assert!(
+                        cache.load(&d).is_none(),
+                        "bit {bit} of byte {i} ({:?}) flipped and still hit",
+                        entry[i] as char
+                    );
+                }
+            }
+        }
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -1,12 +1,8 @@
 //! Deterministic fault injection for chaos-testing the campaign layer.
 //!
-//! A [`FaultPlan`] is a *seeded schedule* of failures covering the three
-//! trust boundaries of a distributed campaign:
+//! A [`FaultPlan`] is a *seeded schedule* of failures covering the two
+//! trust boundaries a campaign crosses:
 //!
-//! * the **worker RPC stream** — connect refusals, mid-batch disconnects,
-//!   truncated and corrupted frames, injected latency, and outright hangs
-//!   (exercising the coordinator's timeouts, retries and salvage paths in
-//!   `bwap-bench::worker`);
 //! * the **cell-cache filesystem** — torn entry writes, bit flips, and
 //!   journal loss ([`super::cache::CellCache`]);
 //! * **cell execution itself** — panicking cells (exercising the
@@ -24,17 +20,17 @@
 //! made of *recoverable* faults (everything except [`FaultKind::CellPanic`]),
 //! a campaign that completes produces a deterministic report
 //! **byte-identical** to the fault-free run — faults may move cells
-//! between remote, cached and local execution, but never change a
-//! result. `CellPanic` is the deliberate exception: a panicking cell
-//! must surface as an error cell, not kill the campaign.
+//! between cached and executed, but never change a result. `CellPanic`
+//! is the deliberate exception: a panicking cell must surface as an
+//! error cell, not kill the campaign.
 //!
 //! ```
 //! use bwap_runtime::campaign::faults::{FaultKind, FaultPlan};
 //!
-//! let plan = FaultPlan::parse("disconnect=0.5,cell-delay=1.0:2,seed=9", 42).unwrap();
+//! let plan = FaultPlan::parse("cache-flip=0.5,cell-delay=1.0:2,seed=9", 42).unwrap();
 //! // Decisions are deterministic: same plan, same key, same answer.
-//! let a = plan.decide(FaultKind::Disconnect, "worker-0#attempt-0").is_some();
-//! let b = plan.decide(FaultKind::Disconnect, "worker-0#attempt-0").is_some();
+//! let a = plan.decide(FaultKind::CacheFlip, "0123456789abcdef").is_some();
+//! let b = plan.decide(FaultKind::CacheFlip, "0123456789abcdef").is_some();
 //! assert_eq!(a, b);
 //! // A rate-1.0 rule always fires and carries its parameter.
 //! let delay = plan.decide(FaultKind::CellDelay, "cell-key").unwrap();
@@ -48,24 +44,6 @@ use bwap::derive_seed;
 /// kinds can never share decisions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Refuse the TCP connect to a worker outright.
-    ConnectRefuse,
-    /// Kill the connection mid-batch: after a seed-chosen number of
-    /// response frames, the stream dies (the salvage path's bread and
-    /// butter).
-    Disconnect,
-    /// Flip one byte of a seed-chosen response frame (caught by entry
-    /// decoding / descriptor verification, never merged).
-    CorruptFrame,
-    /// Truncate a seed-chosen response frame to half its bytes.
-    TruncateFrame,
-    /// Sleep `param_ms` before reading a worker's response (tolerated
-    /// latency, not a failure — the batch must still succeed within its
-    /// deadline).
-    Latency,
-    /// Connect, then never send the request: the worker sees a silent
-    /// peer, the coordinator's read deadline fires.
-    Hang,
     /// Tear a cache entry write: only a prefix of the entry reaches disk
     /// (detected as a miss on the next load).
     CacheTorn,
@@ -82,13 +60,7 @@ pub enum FaultKind {
 }
 
 /// Every kind, in spec order — the parser's vocabulary and the doc table.
-pub const ALL_KINDS: [FaultKind; 11] = [
-    FaultKind::ConnectRefuse,
-    FaultKind::Disconnect,
-    FaultKind::CorruptFrame,
-    FaultKind::TruncateFrame,
-    FaultKind::Latency,
-    FaultKind::Hang,
+pub const ALL_KINDS: [FaultKind; 5] = [
     FaultKind::CacheTorn,
     FaultKind::CacheFlip,
     FaultKind::JournalDrop,
@@ -100,12 +72,6 @@ impl FaultKind {
     /// Stable spec label (also the hash domain separator).
     pub fn label(&self) -> &'static str {
         match self {
-            FaultKind::ConnectRefuse => "connect",
-            FaultKind::Disconnect => "disconnect",
-            FaultKind::CorruptFrame => "corrupt",
-            FaultKind::TruncateFrame => "truncate",
-            FaultKind::Latency => "latency",
-            FaultKind::Hang => "hang",
             FaultKind::CacheTorn => "cache-torn",
             FaultKind::CacheFlip => "cache-flip",
             FaultKind::JournalDrop => "journal-drop",
@@ -131,7 +97,7 @@ impl FaultKind {
 pub struct Fault {
     /// What to inject.
     pub kind: FaultKind,
-    /// The rule's millisecond parameter (latency / delay durations; 0 for
+    /// The rule's millisecond parameter (the `cell-delay` duration; 0 for
     /// kinds without one).
     pub param_ms: u64,
 }
@@ -169,8 +135,8 @@ impl FaultPlan {
         self.with_param(kind, rate, 0)
     }
 
-    /// [`FaultPlan::with`] plus a millisecond parameter (latency and
-    /// delay durations).
+    /// [`FaultPlan::with`] plus a millisecond parameter (the `cell-delay`
+    /// duration).
     pub fn with_param(mut self, kind: FaultKind, rate: f64, param_ms: u64) -> FaultPlan {
         self.rules.retain(|r| r.kind != kind);
         self.rules.push(FaultRule { kind, rate: rate.clamp(0.0, 1.0), param_ms });
@@ -193,7 +159,7 @@ impl FaultPlan {
     /// plan seed defaults to `default_seed` (the campaign seed) so chaos
     /// runs are replayable from the campaign coordinates alone.
     ///
-    /// Example: `disconnect=0.5,corrupt=0.25,latency=1.0:20,seed=7`.
+    /// Example: `cache-flip=0.5,journal-drop=0.25,cell-delay=1.0:20,seed=7`.
     pub fn parse(spec: &str, default_seed: u64) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::new(default_seed);
         for term in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
@@ -256,8 +222,7 @@ impl FaultPlan {
     }
 
     /// A deterministic draw in `[0, n)` parameterizing a fired fault
-    /// (which frame to corrupt, where to cut a stream, which byte to
-    /// flip) — domain-separated from [`FaultPlan::decide`] so the draw
+    /// (which byte of a cache entry to flip) — domain-separated from [`FaultPlan::decide`] so the draw
     /// never correlates with whether the fault fires.
     pub fn roll(&self, kind: FaultKind, key: &str, n: u64) -> u64 {
         if n == 0 {
@@ -273,16 +238,16 @@ mod tests {
 
     #[test]
     fn parse_grammar_round_trips_kinds_rates_and_seed() {
-        let plan =
-            FaultPlan::parse("disconnect=0.5, corrupt=0.25,latency=1:20,seed=7", 42).unwrap();
+        let plan = FaultPlan::parse("cache-flip=0.5, journal-drop=0.25,cell-delay=1:20,seed=7", 42)
+            .unwrap();
         assert_eq!(plan.seed(), 7);
         assert!(!plan.is_empty());
         assert!(plan.recoverable());
-        assert_eq!(plan.decide(FaultKind::Latency, "x").unwrap().param_ms, 20);
+        assert_eq!(plan.decide(FaultKind::CellDelay, "x").unwrap().param_ms, 20);
         // Unlisted kinds never fire.
         assert_eq!(plan.decide(FaultKind::CellPanic, "x"), None);
         // The campaign seed is the default.
-        assert_eq!(FaultPlan::parse("hang=0.1", 42).unwrap().seed(), 42);
+        assert_eq!(FaultPlan::parse("cache-torn=0.1", 42).unwrap().seed(), 42);
         // An empty spec is the empty plan.
         assert!(FaultPlan::parse("", 0).unwrap().is_empty());
     }
@@ -292,9 +257,9 @@ mod tests {
         // Construction order does not matter: serialization is in
         // ALL_KINDS order with an explicit seed, params only when set.
         let plan = FaultPlan::new(7)
-            .with_param(FaultKind::Latency, 1.0, 20)
-            .with(FaultKind::Disconnect, 0.5);
-        assert_eq!(plan.to_spec(), "disconnect=0.5,latency=1:20,seed=7");
+            .with_param(FaultKind::CellDelay, 1.0, 20)
+            .with(FaultKind::CacheFlip, 0.5);
+        assert_eq!(plan.to_spec(), "cache-flip=0.5,cell-delay=1:20,seed=7");
         // Parsing under a *different* default seed restores the plan
         // exactly — the explicit seed= term wins.
         let back = FaultPlan::parse(&plan.to_spec(), 999).unwrap();
@@ -310,11 +275,11 @@ mod tests {
     fn parse_rejects_malformed_terms() {
         for bad in [
             "warp=0.5",
-            "disconnect",
-            "disconnect=2.0",
-            "disconnect=-1",
+            "cache-flip",
+            "cache-flip=2.0",
+            "cache-flip=-1",
             "seed=x",
-            "latency=0.5:xms",
+            "cell-delay=0.5:xms",
         ] {
             assert!(FaultPlan::parse(bad, 0).is_err(), "{bad:?} must be rejected");
         }
@@ -322,16 +287,16 @@ mod tests {
 
     #[test]
     fn decisions_are_deterministic_and_seed_scoped() {
-        let a = FaultPlan::new(1).with(FaultKind::Disconnect, 0.5);
-        let b = FaultPlan::new(2).with(FaultKind::Disconnect, 0.5);
+        let a = FaultPlan::new(1).with(FaultKind::CacheFlip, 0.5);
+        let b = FaultPlan::new(2).with(FaultKind::CacheFlip, 0.5);
         let keys: Vec<String> = (0..256).map(|i| format!("k{i}")).collect();
         let fire_a: Vec<bool> =
-            keys.iter().map(|k| a.decide(FaultKind::Disconnect, k).is_some()).collect();
+            keys.iter().map(|k| a.decide(FaultKind::CacheFlip, k).is_some()).collect();
         let again: Vec<bool> =
-            keys.iter().map(|k| a.decide(FaultKind::Disconnect, k).is_some()).collect();
+            keys.iter().map(|k| a.decide(FaultKind::CacheFlip, k).is_some()).collect();
         assert_eq!(fire_a, again, "same plan, same decisions");
         let fire_b: Vec<bool> =
-            keys.iter().map(|k| b.decide(FaultKind::Disconnect, k).is_some()).collect();
+            keys.iter().map(|k| b.decide(FaultKind::CacheFlip, k).is_some()).collect();
         assert_ne!(fire_a, fire_b, "different seeds decorrelate the schedule");
         // Rate 0.5 should fire roughly half the time.
         let hits = fire_a.iter().filter(|&&f| f).count();
@@ -354,24 +319,24 @@ mod tests {
     #[test]
     fn kinds_are_domain_separated() {
         let plan =
-            FaultPlan::new(9).with(FaultKind::Disconnect, 0.5).with(FaultKind::CorruptFrame, 0.5);
+            FaultPlan::new(9).with(FaultKind::CacheTorn, 0.5).with(FaultKind::CacheFlip, 0.5);
         let keys: Vec<String> = (0..256).map(|i| format!("k{i}")).collect();
-        let d: Vec<bool> =
-            keys.iter().map(|k| plan.decide(FaultKind::Disconnect, k).is_some()).collect();
-        let c: Vec<bool> =
-            keys.iter().map(|k| plan.decide(FaultKind::CorruptFrame, k).is_some()).collect();
-        assert_ne!(d, c, "two kinds at the same rate must not share decisions");
+        let t: Vec<bool> =
+            keys.iter().map(|k| plan.decide(FaultKind::CacheTorn, k).is_some()).collect();
+        let f: Vec<bool> =
+            keys.iter().map(|k| plan.decide(FaultKind::CacheFlip, k).is_some()).collect();
+        assert_ne!(t, f, "two kinds at the same rate must not share decisions");
     }
 
     #[test]
     fn rolls_are_deterministic_bounded_and_independent_of_decide() {
-        let plan = FaultPlan::new(5).with(FaultKind::Disconnect, 1e-9);
+        let plan = FaultPlan::new(5).with(FaultKind::CacheFlip, 1e-9);
         for n in [1u64, 2, 7, 100] {
-            let r = plan.roll(FaultKind::Disconnect, "batch", n);
+            let r = plan.roll(FaultKind::CacheFlip, "entry", n);
             assert!(r < n);
-            assert_eq!(r, plan.roll(FaultKind::Disconnect, "batch", n));
+            assert_eq!(r, plan.roll(FaultKind::CacheFlip, "entry", n));
         }
-        assert_eq!(plan.roll(FaultKind::Disconnect, "batch", 0), 0);
+        assert_eq!(plan.roll(FaultKind::CacheFlip, "entry", 0), 0);
     }
 
     #[test]

@@ -477,7 +477,9 @@ pub struct CampaignConfig {
     /// Persistent cell cache directory. When set, executed classes store
     /// their outcome under `<dir>/<descriptor hash>.cell` and later runs
     /// replay them (see [`cache::CellCache`]), giving warm reruns
-    /// near-zero cost and kill-and-resume for free.
+    /// near-zero cost and kill-and-resume for free. Sub-campaigns run
+    /// elsewhere against the same directory fill it for the full spec
+    /// the same way (`docs/ROBUSTNESS.md`).
     pub cache_dir: Option<PathBuf>,
     /// Seeded chaos schedule (see [`faults`]): injects cache corruption,
     /// delayed cells and panicking cells into this run. `None` (the
@@ -689,9 +691,9 @@ pub fn run_campaign_with(spec: &CampaignSpec, cfg: &CampaignConfig) -> CampaignR
 }
 
 /// Run one cell of a spec exactly as [`run_campaign_with`] would, without
-/// tracing — the entry point remote `campaign-worker` processes use to
-/// serve cells (the `cell` must come from this spec's [`CampaignSpec::cells`]
-/// enumeration).
+/// tracing — for callers that drive the pipeline's layers themselves,
+/// such as a benchmark timing cell execution on its own (the `cell` must
+/// come from this spec's [`CampaignSpec::cells`] enumeration).
 pub fn run_cell_for(spec: &CampaignSpec, cell: &CellSpec) -> Result<RunResult, RuntimeError> {
     run_cell(spec, cell, None)
 }

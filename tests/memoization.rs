@@ -1,8 +1,10 @@
 //! Integration tests for content-addressed campaign memoization: golden
 //! byte-identity with dedup on/off and cache cold/warm, kill-and-resume
-//! (a partially populated cache completes to the exact same bytes), and
-//! corrupt-cache tolerance.
+//! (a partially populated cache completes to the exact same bytes),
+//! corrupt-cache tolerance, and one campaign split over several runs
+//! that share a cache directory.
 
+use bwap_bench::cli::SpecArgs;
 use bwap_bench::experiments::{dwp_dedup_spec, fig4_spec};
 use bwap_runtime::{run_campaign_with, CampaignConfig, CampaignSpec};
 use std::path::PathBuf;
@@ -126,4 +128,78 @@ fn dedup_halves_the_dwp_dedup_campaign() {
         "shared classes carry provenance"
     );
     assert_eq!(on.deterministic_json(), off.deterministic_json());
+}
+
+/// Run every sub-campaign against one shared cache directory — as
+/// separate machines would, each with its own slice of the flags — then
+/// the full spec. The full run must execute nothing, hit the cache for
+/// every cell, and report the bytes of a cacheless run.
+fn assert_split_replays(tag: &str, full: &SpecArgs, parts: &[SpecArgs]) {
+    let cache_dir = tmp(tag);
+    let cfg = CampaignConfig { cache_dir: Some(cache_dir.clone()), ..Default::default() };
+    for part in parts {
+        run_campaign_with(&part.build().expect("sub-campaign spec"), &cfg);
+    }
+    let spec = full.build().expect("full spec");
+    let replay = run_campaign_with(&spec, &cfg);
+    assert_eq!(replay.executed_cells, 0, "{tag}: the sub-campaigns filled every class");
+    assert!(replay.cells.iter().all(|c| c.cache_hit), "{tag}: every cell replays");
+    assert_eq!(
+        det(&spec, &CampaignConfig::default()),
+        replay.deterministic_json(),
+        "{tag}: the merged report is byte-identical to a cacheless run"
+    );
+    let _ = std::fs::remove_dir_all(cache_dir);
+}
+
+/// One ad-hoc sweep spread over two runs by workload: descriptors leave
+/// the cell seed out, so the `w1:OC` cell of the full sweep finds the
+/// entry the `w0:OC` cell of the OC-only run stored.
+#[test]
+fn sweep_split_by_workload_replays_from_a_shared_cache() {
+    let full = SpecArgs {
+        workloads: "SC,OC".into(),
+        policies: "uniform-workers,bwap".into(),
+        scenarios: "standalone,coscheduled".into(),
+        workers: "1,2".into(),
+        dwps: "online,0.5".into(),
+        seed: 42,
+        quick: true,
+        ..Default::default()
+    };
+    let part = |w: &str| SpecArgs { workloads: w.into(), ..full.clone() };
+    assert_split_replays("split-workload", &full, &[part("SC"), part("OC")]);
+}
+
+/// A fleet sweep spread over three runs along the scheduler and the
+/// arrival-rate axes. A fleet cell's arrival stream is drawn from its
+/// cell seed, whose key names the machine mix, policy, scheduler and
+/// rate — so these splits keep every fleet descriptor of the full spec.
+#[test]
+fn fleet_split_by_scheduler_and_rate_replays_from_a_shared_cache() {
+    let full = SpecArgs {
+        workloads: "SC,OC".into(),
+        policies: "uniform-workers".into(),
+        fleet: "b,tiered".into(),
+        schedulers: "round-robin,least-loaded,tier-aware".into(),
+        arrival_rates: "0.5,2".into(),
+        fleet_jobs: "3".into(),
+        seed: 7,
+        quick: true,
+        ..Default::default()
+    };
+    let part = |schedulers: &str, rates: &str| SpecArgs {
+        schedulers: schedulers.into(),
+        arrival_rates: rates.into(),
+        ..full.clone()
+    };
+    assert_split_replays(
+        "split-fleet",
+        &full,
+        &[
+            part("round-robin", "0.5,2"),
+            part("least-loaded,tier-aware", "0.5"),
+            part("least-loaded,tier-aware", "2"),
+        ],
+    );
 }
