@@ -10,7 +10,7 @@
 //! and, when the campaign ran with `--trace`, drill-down links to each
 //! cell's Chrome-trace file. See `docs/TRACING.md`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn usage() -> ! {
     eprintln!("usage: explorer REPORT.campaign.json [--out PATH.html]");
@@ -43,11 +43,16 @@ fn main() {
             .unwrap_or("report");
         report.with_file_name(format!("{stem}.explorer.html"))
     });
-    let text = std::fs::read_to_string(&report)
-        .unwrap_or_else(|e| panic!("read {}: {e}", report.display()));
+    let text = std::fs::read_to_string(&report).unwrap_or_else(|e| fail(&report, e));
     let html_dir = out.parent().filter(|p| !p.as_os_str().is_empty()).map(PathBuf::from);
     let html = bwap_bench::explorer::render(&text, html_dir.as_deref())
-        .unwrap_or_else(|e| panic!("{}: {e}", report.display()));
-    std::fs::write(&out, html).unwrap_or_else(|e| panic!("write {}: {e}", out.display()));
+        .unwrap_or_else(|e| fail(&report, e));
+    std::fs::write(&out, html).unwrap_or_else(|e| fail(&out, e));
     println!("wrote {}", out.display());
+}
+
+/// Report `<path>: <error>` and exit 1 — bad input is an error, not a panic.
+fn fail(path: &Path, e: impl std::fmt::Display) -> ! {
+    eprintln!("{}: {e}", path.display());
+    std::process::exit(1);
 }

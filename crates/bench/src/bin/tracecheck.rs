@@ -8,7 +8,8 @@
 //! ```
 //!
 //! Directories are expanded to their `*.json` entries. Prints one stats
-//! line per valid trace; exits non-zero on the first malformed one.
+//! line per valid trace and `<path>: <error>` on stderr per unreadable or
+//! malformed one; exits 1 if any trace failed or a path cannot be read.
 //!
 //! `--report` switches to report mode: every cell of the campaign report
 //! must either link a valid trace file or be marked `cache_hit` (a cell
@@ -21,7 +22,7 @@ fn collect(arg: &str, files: &mut Vec<PathBuf>) {
     let p = Path::new(arg);
     if p.is_dir() {
         let mut entries: Vec<PathBuf> = std::fs::read_dir(p)
-            .unwrap_or_else(|e| panic!("read dir {arg}: {e}"))
+            .unwrap_or_else(|e| fail(arg, e))
             .filter_map(|e| e.ok().map(|e| e.path()))
             .filter(|p| p.extension().is_some_and(|x| x == "json"))
             .collect();
@@ -32,8 +33,14 @@ fn collect(arg: &str, files: &mut Vec<PathBuf>) {
     }
 }
 
+/// Report `<path>: <error>` and exit 1 — bad input is an error, not a panic.
+fn fail(path: &str, e: std::io::Error) -> ! {
+    eprintln!("{path}: {e}");
+    std::process::exit(1);
+}
+
 fn check_report(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(path, e));
     match bwap_bench::tracecheck::check_report(&text, |trace_path| {
         std::fs::read_to_string(trace_path).map_err(|e| format!("read {trace_path}: {e}"))
     }) {
@@ -72,8 +79,14 @@ fn main() {
     }
     let mut failed = 0usize;
     for f in &files {
-        let text =
-            std::fs::read_to_string(f).unwrap_or_else(|e| panic!("read {}: {e}", f.display()));
+        let text = match std::fs::read_to_string(f) {
+            Ok(text) => text,
+            Err(e) => {
+                failed += 1;
+                eprintln!("{}: {e}", f.display());
+                continue;
+            }
+        };
         match bwap_bench::tracecheck::validate(&text) {
             Ok(s) => println!(
                 "{}: ok — {} events, {} slices, {} instants, {} counters, {} flows \

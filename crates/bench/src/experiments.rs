@@ -368,8 +368,9 @@ pub fn fig4_spec(quick: bool) -> CampaignSpec {
 /// `static_dwp(0.5) x Static(d)` cell collapses onto the matching
 /// `default x Static(d)` cell and `static_dwp(0.5) x online` collapses
 /// onto `default x Static(0.5)` — 24 declared cells but only 12 distinct
-/// simulations. Exactly the shape the exact-dedup pass exists for;
-/// `perf_smoke` runs it with dedup on and off.
+/// simulations. Exactly the shape the exact-dedup pass exists for:
+/// `tests/memoization.rs` runs it with dedup on and off, and perfbench's
+/// `cosched_grid` workload runs it cold and then over a warm cell cache.
 pub fn dwp_dedup_spec(quick: bool) -> CampaignSpec {
     let grid: Vec<DwpPoint> = fig4_dwps()
         .into_iter()
@@ -455,40 +456,6 @@ pub fn fig_tiered_spec(quick: bool) -> CampaignSpec {
         .worker_counts(vec![1, 2])
 }
 
-/// Fig. T: exec times on the tiered machine, plus the speedup table
-/// normalized to first-touch (the Linux default an operator would get).
-pub fn fig_tiered(quick: bool) -> (ResultTable, ResultTable) {
-    let spec = fig_tiered_spec(quick);
-    let report = run_campaign(&spec);
-    fig_tiered_from_report(&spec, &report)
-}
-
-/// Build Fig. T's tables from its campaign report.
-pub fn fig_tiered_from_report(
-    spec: &CampaignSpec,
-    report: &CampaignReport,
-) -> (ResultTable, ResultTable) {
-    let mut times = ResultTable::new(
-        "Fig. T: exec time [s], machine-tiered (2 workers + 2 CPU-less expanders), stand-alone",
-        spec.policies.iter().map(|p| p.label()).collect(),
-    );
-    for app in &spec.workloads {
-        for &k in &spec.worker_counts {
-            let row: Vec<f64> = spec
-                .policies
-                .iter()
-                .map(|p| {
-                    cell(report, app.name, &p.label(), ScenarioKind::Standalone, k, None)
-                        .exec_time_s
-                })
-                .collect();
-            times.push_row(&format!("{} {}W", app.name, k), row);
-        }
-    }
-    let speedups = times.normalized_to("first-touch");
-    (times, speedups)
-}
-
 /// Phase-cycle period of the `fig_phases` campaign, seconds (one full
 /// pass through each workload's timeline).
 pub fn fig_phases_period(quick: bool) -> f64 {
@@ -557,45 +524,6 @@ pub fn fig_phases_spec(quick: bool) -> CampaignSpec {
         .worker_counts(vec![1])
 }
 
-/// Fig. P: exec time per policy on the phase-flipping workloads, the
-/// speedup table normalized to first-touch, and per-workload adaptive
-/// observables `(retunes, phase switches)`.
-pub fn fig_phases(quick: bool) -> (ResultTable, ResultTable, Vec<(String, u64, u64)>) {
-    let spec = fig_phases_spec(quick);
-    let report = run_campaign(&spec);
-    fig_phases_from_report(&spec, &report)
-}
-
-/// Build Fig. P's tables from its campaign report.
-pub fn fig_phases_from_report(
-    spec: &CampaignSpec,
-    report: &CampaignReport,
-) -> (ResultTable, ResultTable, Vec<(String, u64, u64)>) {
-    let mut times = ResultTable::new(
-        "Fig. P: exec time [s], machine B, phase-structured workloads, stand-alone",
-        spec.policies.iter().map(|p| p.label()).collect(),
-    );
-    let mut adaptive_stats = Vec::new();
-    for w in &spec.phased_workloads {
-        let row: Vec<f64> = spec
-            .policies
-            .iter()
-            .map(|p| {
-                cell(report, &w.name, &p.label(), ScenarioKind::Standalone, 1, None).exec_time_s
-            })
-            .collect();
-        times.push_row(&w.name, row);
-        let a = cell(report, &w.name, "bwap-adaptive", ScenarioKind::Standalone, 1, None);
-        adaptive_stats.push((
-            w.name.clone(),
-            a.retunes.unwrap_or(0),
-            a.phase_switches.unwrap_or(0),
-        ));
-    }
-    let speedups = times.normalized_to("first-touch");
-    (times, speedups, adaptive_stats)
-}
-
 /// Fig. F campaign: fleet-scale serving. An open-loop Poisson stream of
 /// jobs drawn from a two-app catalog arrives at a heterogeneous two
 /// machine fleet (one machine B, one tiered machine with CPU-less
@@ -625,51 +553,6 @@ pub fn fig_fleet_spec(quick: bool) -> CampaignSpec {
             trace: None,
         })
         .seed(7)
-}
-
-/// Fig. F: the slowdown-vs-solo tail table — one row per
-/// (scheduler, arrival rate) fleet cell, columns p50/p95/p99 plus
-/// makespan and job count.
-pub fn fig_fleet(quick: bool) -> ResultTable {
-    let spec = fig_fleet_spec(quick);
-    let report = run_campaign(&spec);
-    fig_fleet_from_report(&spec, &report)
-}
-
-/// Build Fig. F's tail table from its campaign report.
-pub fn fig_fleet_from_report(spec: &CampaignSpec, report: &CampaignReport) -> ResultTable {
-    let mut t = ResultTable::new(
-        "Fig. F: fleet slowdown-vs-solo tails (machine B + tiered, open-loop arrivals)",
-        vec!["p50".into(), "p95".into(), "p99".into(), "makespan [s]".into(), "jobs".into()],
-    );
-    t.precision = 2;
-    let axis = spec.fleet.as_ref().expect("fig_fleet has a fleet axis");
-    for sched in &axis.schedulers {
-        for &rate in &axis.arrival_rates {
-            let c = report
-                .cells
-                .iter()
-                .find(|c| {
-                    c.scheduler.as_deref() == Some(sched.label()) && c.arrival_rate_hz == Some(rate)
-                })
-                .unwrap_or_else(|| panic!("no fleet cell {}/{rate}", sched.label()));
-            let r = match &c.outcome {
-                Ok(r) => r,
-                Err(e) => panic!("cell {} failed: {e}", c.key),
-            };
-            t.push_row(
-                &format!("{} @ {rate}/s", sched.label()),
-                vec![
-                    r.slowdown_p50.unwrap_or(f64::NAN),
-                    r.slowdown_p95.unwrap_or(f64::NAN),
-                    r.slowdown_p99.unwrap_or(f64::NAN),
-                    r.exec_time_s,
-                    r.jobs.unwrap_or(0) as f64,
-                ],
-            );
-        }
-    }
-    t
 }
 
 /// Ablation 1: kernel-level vs user-level weighted interleaving, full

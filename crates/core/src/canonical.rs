@@ -4,7 +4,6 @@
 use crate::error::BwapError;
 use crate::weights::WeightDistribution;
 use bwap_topology::{BwMatrix, MachineTopology, NodeId, NodeSet};
-use std::collections::HashMap;
 
 /// `minbw(n_i) = min_{w ∈ workers} bw(n_i -> w)` — the bandwidth of the
 /// weakest path from each memory node to any worker node (paper Eq. 4's
@@ -67,57 +66,6 @@ pub fn canonical_weights_on(
         )));
     }
     canonical_weights(machine.path_caps(), workers)
-}
-
-/// Installation-time cache of canonical distributions per worker set
-/// (§III-A3: "the canonical tuner needs to run the profiling procedure for
-/// the relevant combinations of worker node sets"). Profiling is expensive
-/// (it runs the reference benchmark), so results are computed once per
-/// worker-set mask and reused.
-pub struct CanonicalTuner {
-    cache: HashMap<u64, WeightDistribution>,
-}
-
-impl CanonicalTuner {
-    /// Empty cache.
-    pub fn new() -> Self {
-        CanonicalTuner { cache: HashMap::new() }
-    }
-
-    /// Number of cached worker sets.
-    pub fn cached_sets(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Fetch the canonical distribution for `workers`, invoking `profile`
-    /// (which measures the machine's bandwidth matrix under the reference
-    /// workload) only on a cache miss.
-    pub fn get_or_profile<F>(
-        &mut self,
-        workers: NodeSet,
-        profile: F,
-    ) -> Result<WeightDistribution, BwapError>
-    where
-        F: FnOnce() -> BwMatrix,
-    {
-        if let Some(hit) = self.cache.get(&workers.mask()) {
-            return Ok(hit.clone());
-        }
-        let weights = canonical_weights(&profile(), workers)?;
-        self.cache.insert(workers.mask(), weights.clone());
-        Ok(weights)
-    }
-
-    /// Pre-seed the cache (e.g. from a profile shipped with the machine).
-    pub fn insert(&mut self, workers: NodeSet, weights: WeightDistribution) {
-        self.cache.insert(workers.mask(), weights);
-    }
-}
-
-impl Default for CanonicalTuner {
-    fn default() -> Self {
-        CanonicalTuner::new()
-    }
 }
 
 #[cfg(test)]
@@ -211,31 +159,5 @@ mod tests {
         let m = machines::machine_b();
         assert!(canonical_weights(m.path_caps(), NodeSet::EMPTY).is_err());
         assert!(min_bandwidths(m.path_caps(), NodeSet::first(5)).is_err());
-    }
-
-    #[test]
-    fn tuner_caches_per_worker_set() {
-        let m = machines::machine_b();
-        let mut tuner = CanonicalTuner::new();
-        let mut profiles = 0;
-        let workers = NodeSet::from_nodes([NodeId(0), NodeId(1)]);
-        for _ in 0..3 {
-            let _ = tuner
-                .get_or_profile(workers, || {
-                    profiles += 1;
-                    m.path_caps().clone()
-                })
-                .unwrap();
-        }
-        assert_eq!(profiles, 1);
-        assert_eq!(tuner.cached_sets(), 1);
-        // different worker set -> new profile
-        let _ = tuner
-            .get_or_profile(NodeSet::single(NodeId(2)), || {
-                profiles += 1;
-                m.path_caps().clone()
-            })
-            .unwrap();
-        assert_eq!(profiles, 2);
     }
 }

@@ -67,7 +67,7 @@ pub mod sampler;
 pub mod seed;
 pub mod weights;
 
-pub use canonical::{canonical_weights, canonical_weights_on, min_bandwidths, CanonicalTuner};
+pub use canonical::{canonical_weights, canonical_weights_on, min_bandwidths};
 pub use config::{BwapConfig, InterleaveMode};
 pub use descriptor::{CellDescriptor, DescriptorBuilder};
 pub use dwp::{apply_dwp, DwpTuner, DwpTunerConfig, TunerAction};
