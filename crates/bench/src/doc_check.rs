@@ -13,10 +13,9 @@
 //! * `http(s)`/`mailto` links are *skipped*, never fetched.
 //!
 //! Fenced code blocks and inline code spans are ignored, so JSON examples
-//! containing brackets do not trip the scanner. The `doc_check` binary
-//! runs the default set (`README.md` + `docs/*.md`) and exits non-zero on
-//! the first broken link; `tests/docs_links.rs` runs the same check under
-//! tier-1 so the docs cannot rot between CI runs either.
+//! containing brackets do not trip the scanner. `tests/docs_links.rs`
+//! runs the default set (`README.md` + `docs/*.md`) under plain
+//! `cargo test`, locally and in CI, and lists every broken link.
 
 use std::fmt;
 use std::path::{Path, PathBuf};

@@ -1,20 +1,23 @@
-//! Implementations of every experiment in the paper's evaluation, shared
-//! by the per-figure binaries and the all-in-one `paper` binary.
+//! Every experiment in the paper's evaluation, run by the `paper`
+//! binary.
 //!
-//! The scenario-matrix experiments (Fig. 1a, Fig. 2/3, Fig. 4, Tables
-//! I/II) are declared as [`CampaignSpec`]s and executed by the campaign
-//! engine (`bwap-runtime::campaign`), which fans the cells out across
-//! threads; the `*_spec` functions expose the declarations so binaries
-//! can also write the machine-readable campaign reports. Each function
-//! returns [`ResultTable`]s ready for printing and CSV export. `quick`
-//! scales workloads down ~8x for fast smoke runs.
+//! Each experiment is declared as one or more [`CampaignSpec`]s and
+//! executed by the campaign engine (`bwap-runtime::campaign`), which fans
+//! the cells out across threads; its tables are read back from the
+//! reports by cell coordinates. The one computation that is not a grid
+//! cell is Fig. 1b's offline n-dimensional search, the oracle the
+//! baseline policies are normalized against. The `*_spec` functions
+//! expose the declarations that the `campaign --spec` CLI, the tests and
+//! the benchmark run on their own. Each experiment returns
+//! [`ResultTable`]s ready for printing and CSV export. `quick` scales
+//! workloads down ~8x for fast smoke runs.
 
 use crate::report::ResultTable;
 use bwap::{BwapConfig, DwpTunerConfig};
+use bwap_runtime::campaign::CellSpec;
 use bwap_runtime::{
-    run_campaign, run_coscheduled, run_coscheduled_with, run_parallel, AdaptiveConfig,
-    CampaignReport, CampaignSpec, DwpPoint, FleetAxis, MachineKind, PlacementPolicy, RunResult,
-    ScenarioKind, SchedulerKind,
+    run_campaign, run_parallel, AdaptiveConfig, CampaignSpec, DwpPoint, FleetAxis, MachineKind,
+    PlacementPolicy, RunResult, ScenarioKind, SchedulerKind,
 };
 use bwap_search::{hill_climb, HillClimbConfig, SimEvaluator};
 use bwap_topology::{machines, MachineTopology};
@@ -39,23 +42,32 @@ fn streamcluster(quick: bool) -> WorkloadSpec {
     }
 }
 
-/// The cell result at the given coordinates; panics with the cell's own
-/// error message if the run failed (experiment cells are expected to
-/// succeed — a failure is a harness bug).
-fn cell(
-    report: &CampaignReport,
-    workload: &str,
-    policy: &str,
-    scenario: ScenarioKind,
-    workers: usize,
-    static_dwp: Option<f64>,
-) -> RunResult {
-    let c = report
-        .find(workload, policy, scenario, workers, static_dwp)
-        .unwrap_or_else(|| panic!("no cell {workload}/{policy}/{}/{workers}w", scenario.label()));
-    match &c.outcome {
-        Ok(r) => r.clone(),
-        Err(e) => panic!("cell {} failed: {e}", c.key),
+/// A campaign's results, each next to the coordinates of its cell.
+struct Cells(Vec<(CellSpec, RunResult)>);
+
+impl Cells {
+    /// Run `spec` and pair every cell with its result. Experiment cells
+    /// are expected to succeed: a failed cell panics with its own error
+    /// message (a failure is a harness bug).
+    fn run(spec: &CampaignSpec) -> Cells {
+        let report = run_campaign(spec);
+        let pairs =
+            spec.cells().into_iter().zip(report.cells).map(|(cell, record)| match record.outcome {
+                Ok(result) => (cell, result),
+                Err(e) => panic!("cell {} failed: {e}", record.key),
+            });
+        Cells(pairs.collect())
+    }
+
+    /// The result of the first cell whose coordinates satisfy `at`.
+    fn get(&self, at: impl Fn(&CellSpec) -> bool) -> &RunResult {
+        self.0.iter().find(|(cell, _)| at(cell)).map(|(_, r)| r).expect("no cell at coordinates")
+    }
+
+    /// The result of workload `wi` under policy `pi` (for specs whose
+    /// other axes hold one point each).
+    fn at(&self, wi: usize, pi: usize) -> &RunResult {
+        self.get(|c| c.workload_idx == wi && c.policy_idx == pi)
     }
 }
 
@@ -69,12 +81,7 @@ pub fn fig1a_spec() -> CampaignSpec {
 /// single-flow probes, plus its deviation from the paper's published
 /// matrix (zero by calibration).
 pub fn fig1a() -> (bwap_topology::BwMatrix, f64) {
-    fig1a_from_report(&run_campaign(&fig1a_spec()))
-}
-
-/// Extract Fig. 1a's matrix and error figure from a campaign report.
-pub fn fig1a_from_report(report: &CampaignReport) -> (bwap_topology::BwMatrix, f64) {
-    let probed = report.bw_matrix.clone().expect("fig1a spec requests the probe");
+    let probed = run_campaign(&fig1a_spec()).bw_matrix.expect("fig1a spec requests the probe");
     let err = probed.max_rel_error(&machines::fig1a_matrix()).expect("same dimensions");
     (probed, err)
 }
@@ -86,55 +93,48 @@ pub fn fig1a_from_report(report: &CampaignReport) -> (bwap_topology::BwMatrix, f
 pub fn fig1b(quick: bool, search_iterations: usize) -> ResultTable {
     let m = machines::machine_a();
     let workers = m.best_worker_set(2);
-    let apps = suite(quick);
-    let jobs: Vec<_> = apps
+    let spec = CampaignSpec::new("fig1b", m.clone())
+        .workloads(suite(quick))
+        .policies(vec![
+            PlacementPolicy::FirstTouch,
+            PlacementPolicy::UniformWorkers,
+            PlacementPolicy::UniformAll,
+        ])
+        .worker_counts(vec![2]);
+    let baselines = Cells::run(&spec);
+    // The offline search, one per app, starting from uniform-workers as
+    // in §II. Proposals are evaluated 4 per round through the shared
+    // parallel executor (SimEvaluator::evaluate_batch).
+    let searches: Vec<_> = spec
+        .workloads
         .iter()
         .map(|app| {
             let m = m.clone();
             let app = app.clone();
             move || {
-                let policies = [
-                    PlacementPolicy::FirstTouch,
-                    PlacementPolicy::UniformWorkers,
-                    PlacementPolicy::UniformAll,
-                ];
-                let mut times: Vec<f64> = policies
-                    .iter()
-                    .map(|p| {
-                        bwap_runtime::run_standalone(&m, &app, workers, p)
-                            .expect("scenario")
-                            .exec_time_s
-                    })
-                    .collect();
-                // Offline search, starting from uniform-workers as in §II.
-                // Proposals are evaluated 4 per round through the shared
-                // parallel executor (SimEvaluator::evaluate_batch).
                 let start = bwap::WeightDistribution::uniform_over(workers, m.node_count())
                     .expect("workers valid");
-                let mut evaluator = SimEvaluator::new(m.clone(), app.clone(), workers);
+                let mut evaluator = SimEvaluator::new(m, app, workers);
                 let cfg = HillClimbConfig {
                     iterations: search_iterations,
                     ..HillClimbConfig::batched(4)
                 };
-                let outcome = hill_climb(&mut evaluator, start, &cfg);
-                times.push(outcome.top_k_mean_time);
-                times
+                hill_climb(&mut evaluator, start, &cfg).top_k_mean_time
             }
         })
         .collect();
-    let rows = run_parallel(jobs);
+    let searches = run_parallel(searches);
+    let mut columns: Vec<String> = spec.policies.iter().map(|p| p.label()).collect();
+    columns.push("n-dim-search".into());
     let mut t = ResultTable::new(
         "Fig. 1b: normalized execution time vs n-dim search (machine A, 2 workers)",
-        vec![
-            "first-touch".into(),
-            "uniform-workers".into(),
-            "uniform-all".into(),
-            "n-dim-search".into(),
-        ],
+        columns,
     );
-    for (app, times) in apps.iter().zip(rows) {
+    for (wi, (app, reference)) in spec.workloads.iter().zip(searches).enumerate() {
+        let mut times: Vec<f64> =
+            (0..spec.policies.len()).map(|pi| baselines.at(wi, pi).exec_time_s).collect();
+        times.push(reference);
         // Paper plots hillclimb/time: 1.0 = as good as the search.
-        let reference = times[3];
         t.push_row(app.name, times.iter().map(|x| reference / x).collect());
     }
     t
@@ -152,18 +152,14 @@ pub fn table1_spec(quick: bool) -> CampaignSpec {
 /// full worker node. Columns: reads MB/s, writes MB/s, private %, shared %.
 pub fn table1(quick: bool) -> ResultTable {
     let spec = table1_spec(quick);
-    table1_from_report(&spec, &run_campaign(&spec))
-}
-
-/// Build Table I from its campaign report.
-pub fn table1_from_report(spec: &CampaignSpec, report: &CampaignReport) -> ResultTable {
+    let cells = Cells::run(&spec);
     let mut t = ResultTable::new(
         "Table I: characterization (machine B, 1 full worker node)",
         vec!["reads MB/s".into(), "writes MB/s".into(), "private %".into(), "shared %".into()],
     );
     t.precision = 1;
-    for app in &spec.workloads {
-        let r = cell(report, app.name, "first-touch", ScenarioKind::Standalone, 1, None);
+    for (wi, app) in spec.workloads.iter().enumerate() {
+        let r = cells.at(wi, 0);
         let writes = r.traffic_bytes - r.read_bytes;
         t.push_row(
             app.name,
@@ -196,24 +192,16 @@ pub fn cosched_panel(
     quick: bool,
 ) -> (ResultTable, Vec<(String, f64)>) {
     let spec = cosched_panel_spec(machine, workers, quick);
-    let report = run_campaign(&spec);
+    let cells = Cells::run(&spec);
     let mut table = ResultTable::new(
-        &format!("exec time [s], {}, {} worker(s), co-scheduled", machine.name(), workers),
+        &format!("{}, {} worker(s), co-scheduled: exec time [s]", machine.name(), workers),
         spec.policies.iter().map(|p| p.label()).collect(),
     );
     let mut dwps = Vec::new();
-    for app in &spec.workloads {
-        let row: Vec<f64> = spec
-            .policies
-            .iter()
-            .map(|p| {
-                cell(&report, app.name, &p.label(), ScenarioKind::Coscheduled, workers, None)
-                    .exec_time_s
-            })
-            .collect();
-        table.push_row(app.name, row);
-        let bwap = cell(&report, app.name, "bwap", ScenarioKind::Coscheduled, workers, None);
-        if let Some(d) = bwap.chosen_dwp {
+    for (wi, app) in spec.workloads.iter().enumerate() {
+        let row: Vec<&RunResult> = (0..spec.policies.len()).map(|pi| cells.at(wi, pi)).collect();
+        table.push_row(app.name, row.iter().map(|r| r.exec_time_s).collect());
+        if let Some(d) = row.iter().find(|r| r.policy == "bwap").and_then(|r| r.chosen_dwp) {
             dwps.push((app.name.to_string(), d));
         }
     }
@@ -230,64 +218,48 @@ pub fn standalone_optimal(machine: &MachineTopology, quick: bool) -> ResultTable
     let policies = PlacementPolicy::evaluation_set();
     let apps = suite(quick);
     // Stage 1: optimal worker count per app — one campaign sweeping the
-    // worker-count axis under the incumbent policy.
-    let sweep_spec =
-        CampaignSpec::new(&format!("standalone_sweep_{}", machine.name()), machine.clone())
+    // worker-count axis under the incumbent policy (first minimum wins).
+    let sweep = Cells::run(
+        &CampaignSpec::new(&format!("standalone_sweep_{}", machine.name()), machine.clone())
             .workloads(apps.clone())
             .policies(vec![PlacementPolicy::UniformWorkers])
-            .worker_counts(candidates.clone());
-    let sweep = run_campaign(&sweep_spec);
-    let optima: Vec<usize> = apps
-        .iter()
-        .map(|app| {
+            .worker_counts(candidates.clone()),
+    );
+    let optima: Vec<usize> = (0..apps.len())
+        .map(|wi| {
+            let time = |k: usize| sweep.get(|c| c.workload_idx == wi && c.workers == k).exec_time_s;
             candidates
                 .iter()
-                .map(|&k| {
-                    (
-                        k,
-                        cell(
-                            &sweep,
-                            app.name,
-                            "uniform-workers",
-                            ScenarioKind::Standalone,
-                            k,
-                            None,
-                        ),
-                    )
-                })
-                .min_by(|a, b| a.1.exec_time_s.partial_cmp(&b.1.exec_time_s).unwrap())
+                .copied()
+                .min_by(|&a, &b| time(a).partial_cmp(&time(b)).unwrap())
                 .expect("non-empty candidate set")
-                .0
         })
         .collect();
-    // Stage 2: all policies at the per-app optimum. The worker count now
-    // depends on the app, so this is a ragged matrix — one job per
-    // (app, policy) pair on the same executor.
-    let machine_ref = &machine;
-    let jobs: Vec<_> = apps
-        .iter()
-        .zip(&optima)
-        .flat_map(|(app, &k)| {
-            policies.iter().map(move |policy| {
-                let machine = (*machine_ref).clone();
-                let app = app.clone();
-                let policy = policy.clone();
-                move || {
-                    let workers = machine.best_worker_set(k);
-                    bwap_runtime::run_standalone(&machine, &app, workers, &policy)
-                        .expect("scenario")
-                }
-            })
-        })
-        .collect();
-    let results: Vec<RunResult> = run_parallel(jobs);
+    // Stage 2: all policies at the per-app optimum — one campaign per
+    // distinct optimal count, over the apps that share it.
+    let mut counts = optima.clone();
+    counts.sort_unstable();
+    counts.dedup();
+    let mut rows = vec![Vec::new(); apps.len()];
+    for k in counts {
+        let members: Vec<usize> = (0..apps.len()).filter(|&ai| optima[ai] == k).collect();
+        let spec = CampaignSpec::new(
+            &format!("standalone_optimal_{}_{k}w", machine.name()),
+            machine.clone(),
+        )
+        .workloads(members.iter().map(|&ai| apps[ai].clone()).collect())
+        .policies(policies.clone())
+        .worker_counts(vec![k]);
+        let cells = Cells::run(&spec);
+        for (wi, &ai) in members.iter().enumerate() {
+            rows[ai] = (0..policies.len()).map(|pi| cells.at(wi, pi).exec_time_s).collect();
+        }
+    }
     let mut table = ResultTable::new(
-        &format!("exec time [s], {}, stand-alone at optimal workers", machine.name()),
+        &format!("{}, stand-alone at optimal workers: exec time [s]", machine.name()),
         policies.iter().map(|p| p.label()).collect(),
     );
-    for (ai, (app, &k)) in apps.iter().zip(&optima).enumerate() {
-        let row: Vec<f64> =
-            (0..policies.len()).map(|pi| results[ai * policies.len() + pi].exec_time_s).collect();
+    for ((app, k), row) in apps.iter().zip(&optima).zip(rows) {
         table.push_row(&format!("{} {}W", app.name, k), row);
     }
     table
@@ -314,24 +286,18 @@ pub fn table2_specs(quick: bool) -> Vec<CampaignSpec> {
 /// Table II: DWP chosen by the iterative search, co-scheduled scenario,
 /// all worker counts on both machines. Values in percent.
 pub fn table2(quick: bool) -> ResultTable {
-    let apps = suite(quick);
-    let reports: Vec<(CampaignReport, Vec<usize>)> = table2_specs(quick)
-        .into_iter()
-        .map(|spec| {
-            let counts = spec.worker_counts.clone();
-            (run_campaign(&spec), counts)
-        })
-        .collect();
+    let specs = table2_specs(quick);
+    let runs: Vec<Cells> = specs.iter().map(Cells::run).collect();
     let mut t = ResultTable::new(
         "Table II: DWP chosen by BWAP's iterative search (co-scheduled), %",
         vec!["A 1W".into(), "A 2W".into(), "A 4W".into(), "B 1W".into(), "B 2W".into()],
     );
     t.precision = 1;
-    for app in &apps {
+    for (wi, app) in specs[0].workloads.iter().enumerate() {
         let mut row = Vec::new();
-        for (report, counts) in &reports {
-            for &k in counts {
-                let r = cell(report, app.name, "bwap", ScenarioKind::Coscheduled, k, None);
+        for (spec, cells) in specs.iter().zip(&runs) {
+            for &k in &spec.worker_counts {
+                let r = cells.get(|c| c.workload_idx == wi && c.workers == k);
                 row.push(r.chosen_dwp.expect("bwap reports dwp") * 100.0);
             }
         }
@@ -345,20 +311,24 @@ pub fn fig4_dwps() -> Vec<f64> {
     (0..=10).map(|i| i as f64 / 10.0).collect()
 }
 
-/// Fig. 4 campaign: Streamcluster co-scheduled on machine A at 1 and 2
-/// workers, swept over the static-DWP grid plus the online tuner.
-pub fn fig4_spec(quick: bool) -> CampaignSpec {
-    let grid: Vec<DwpPoint> = fig4_dwps()
+/// The Fig. 4 DWP axis: every static point, then the online tuner.
+fn fig4_grid() -> Vec<DwpPoint> {
+    fig4_dwps()
         .into_iter()
         .map(DwpPoint::Static)
         .chain(std::iter::once(DwpPoint::AsConfigured))
-        .collect();
+        .collect()
+}
+
+/// Fig. 4 campaign: Streamcluster co-scheduled on machine A at 1 and 2
+/// workers, swept over the static-DWP grid plus the online tuner.
+pub fn fig4_spec(quick: bool) -> CampaignSpec {
     CampaignSpec::new("fig4", machines::machine_a())
         .workloads(vec![streamcluster(quick)])
         .policies(vec![PlacementPolicy::Bwap(BwapConfig::default())])
         .scenarios(vec![ScenarioKind::Coscheduled])
         .worker_counts(vec![1, 2])
-        .dwp_grid(grid)
+        .dwp_grid(fig4_grid())
 }
 
 /// A DWP-grid campaign with deliberate axis overlap: the policy set pairs
@@ -372,11 +342,6 @@ pub fn fig4_spec(quick: bool) -> CampaignSpec {
 /// `tests/memoization.rs` runs it with dedup on and off, and perfbench's
 /// `cosched_grid` workload runs it cold and then over a warm cell cache.
 pub fn dwp_dedup_spec(quick: bool) -> CampaignSpec {
-    let grid: Vec<DwpPoint> = fig4_dwps()
-        .into_iter()
-        .map(DwpPoint::Static)
-        .chain(std::iter::once(DwpPoint::AsConfigured))
-        .collect();
     CampaignSpec::new("dwp_dedup", machines::machine_a())
         .workloads(vec![streamcluster(quick)])
         .policies(vec![
@@ -385,7 +350,7 @@ pub fn dwp_dedup_spec(quick: bool) -> CampaignSpec {
         ])
         .scenarios(vec![ScenarioKind::Coscheduled])
         .worker_counts(vec![1])
-        .dwp_grid(grid)
+        .dwp_grid(fig4_grid())
 }
 
 /// Fig. 4: static-DWP sweep for Streamcluster on machine A (1 and 2
@@ -394,18 +359,15 @@ pub fn dwp_dedup_spec(quick: bool) -> CampaignSpec {
 /// fraction (both normalized to the DWP=0 point as in the paper's
 /// normalized axes), and the online tuner's `(dwp, exec time)`.
 pub fn fig4(quick: bool) -> Vec<(ResultTable, f64, f64)> {
-    fig4_from_report(&run_campaign(&fig4_spec(quick)))
-}
-
-/// Build Fig. 4's tables from its campaign report.
-pub fn fig4_from_report(report: &CampaignReport) -> Vec<(ResultTable, f64, f64)> {
+    let spec = fig4_spec(quick);
+    let cells = Cells::run(&spec);
     let mut out = Vec::new();
-    for k in [1usize, 2] {
-        let points: Vec<RunResult> = fig4_dwps()
+    for &k in &spec.worker_counts {
+        let points: Vec<&RunResult> = fig4_dwps()
             .into_iter()
-            .map(|d| cell(report, "SC", "bwap", ScenarioKind::Coscheduled, k, Some(d)))
+            .map(|d| cells.get(|c| c.workers == k && c.dwp == DwpPoint::Static(d)))
             .collect();
-        let online = cell(report, "SC", "bwap", ScenarioKind::Coscheduled, k, None);
+        let online = cells.get(|c| c.workers == k && c.dwp == DwpPoint::AsConfigured);
         let (t0, s0) = (points[0].exec_time_s, points[0].stall_frac);
         let mut table = ResultTable::new(
             &format!("Fig. 4: SC on machine A, {k} worker(s): normalized vs DWP"),
@@ -560,41 +522,31 @@ pub fn fig_fleet_spec(quick: bool) -> CampaignSpec {
 /// user/kernel (paper reports the gap is at most ~3%).
 pub fn ablation_interleave_mode(quick: bool) -> ResultTable {
     let apps = suite(quick);
-    let machines_ = [machines::machine_a(), machines::machine_b()];
-    let jobs: Vec<_> = apps
-        .iter()
-        .flat_map(|app| {
-            machines_.iter().map(move |m| {
-                let m = m.clone();
-                let app = app.clone();
-                move || {
-                    let workers = m.best_worker_set(2);
-                    let kernel = run_coscheduled(
-                        &m,
-                        &app,
-                        workers,
-                        &PlacementPolicy::Bwap(BwapConfig::kernel_mode()),
-                    )
-                    .expect("scenario");
-                    let user = run_coscheduled(
-                        &m,
-                        &app,
-                        workers,
-                        &PlacementPolicy::Bwap(BwapConfig::default()),
-                    )
-                    .expect("scenario");
-                    user.exec_time_s / kernel.exec_time_s
-                }
-            })
+    // One campaign per machine; both variants carry the label `bwap`, so
+    // cells are told apart by policy index: 0 = kernel, 1 = user-level.
+    let ratios: Vec<Vec<f64>> = [machines::machine_a(), machines::machine_b()]
+        .into_iter()
+        .map(|m| {
+            let spec = CampaignSpec::new(&format!("ablation_interleave_{}", m.name()), m)
+                .workloads(apps.clone())
+                .policies(vec![
+                    PlacementPolicy::Bwap(BwapConfig::kernel_mode()),
+                    PlacementPolicy::Bwap(BwapConfig::default()),
+                ])
+                .scenarios(vec![ScenarioKind::Coscheduled])
+                .worker_counts(vec![2]);
+            let cells = Cells::run(&spec);
+            (0..apps.len())
+                .map(|wi| cells.at(wi, 1).exec_time_s / cells.at(wi, 0).exec_time_s)
+                .collect()
         })
         .collect();
-    let ratios = run_parallel(jobs);
     let mut t = ResultTable::new(
         "Ablation: user-level (Algorithm 1) / kernel-level exec-time ratio",
         vec!["machine A".into(), "machine B".into()],
     );
-    for (ai, app) in apps.iter().enumerate() {
-        t.push_row(app.name, ratios[ai * 2..ai * 2 + 2].to_vec());
+    for (wi, app) in apps.iter().enumerate() {
+        t.push_row(app.name, ratios.iter().map(|r| r[wi]).collect());
     }
     t
 }
@@ -604,40 +556,13 @@ pub fn ablation_interleave_mode(quick: bool) -> ResultTable {
 /// accuracy/overhead analysis, §IV-B: tuner within one step of optimum,
 /// <= 4 % overhead).
 pub fn ablation_tuner_overhead(quick: bool) -> ResultTable {
-    let m = machines::machine_a();
-    let workers = m.best_worker_set(2);
-    let apps = suite(quick);
-    let dwps = fig4_dwps();
-    let jobs: Vec<_> = apps
-        .iter()
-        .map(|app| {
-            let m = m.clone();
-            let app = app.clone();
-            let dwps = dwps.clone();
-            move || {
-                let online = run_coscheduled(
-                    &m,
-                    &app,
-                    workers,
-                    &PlacementPolicy::Bwap(BwapConfig::default()),
-                )
-                .expect("scenario");
-                let sweep = bwap_runtime::dwp_sweep(&m, &app, workers, &dwps, true).expect("sweep");
-                let best = sweep
-                    .iter()
-                    .min_by(|a, b| a.exec_time_s.partial_cmp(&b.exec_time_s).unwrap())
-                    .expect("non-empty");
-                [
-                    online.exec_time_s,
-                    best.exec_time_s,
-                    (online.exec_time_s / best.exec_time_s - 1.0) * 100.0,
-                    online.chosen_dwp.expect("bwap") * 100.0,
-                    best.dwp * 100.0,
-                ]
-            }
-        })
-        .collect();
-    let rows = run_parallel(jobs);
+    let spec = CampaignSpec::new("ablation_overhead", machines::machine_a())
+        .workloads(suite(quick))
+        .policies(vec![PlacementPolicy::Bwap(BwapConfig::default())])
+        .scenarios(vec![ScenarioKind::Coscheduled])
+        .worker_counts(vec![2])
+        .dwp_grid(fig4_grid());
+    let cells = Cells::run(&spec);
     let mut t = ResultTable::new(
         "Ablation: DWP tuner vs best static (machine A, 2 workers, co-scheduled)",
         vec![
@@ -649,19 +574,53 @@ pub fn ablation_tuner_overhead(quick: bool) -> ResultTable {
         ],
     );
     t.precision = 2;
-    for (app, vals) in apps.iter().zip(rows) {
-        t.push_row(app.name, vals.to_vec());
+    for (wi, app) in spec.workloads.iter().enumerate() {
+        let online = cells.get(|c| c.workload_idx == wi && c.dwp == DwpPoint::AsConfigured);
+        // The first minimum in DWP order wins ties.
+        let (best_dwp, best) = fig4_dwps()
+            .into_iter()
+            .map(|d| (d, cells.get(|c| c.workload_idx == wi && c.dwp == DwpPoint::Static(d))))
+            .min_by(|a, b| a.1.exec_time_s.partial_cmp(&b.1.exec_time_s).unwrap())
+            .expect("non-empty");
+        t.push_row(
+            app.name,
+            vec![
+                online.exec_time_s,
+                best.exec_time_s,
+                (online.exec_time_s / best.exec_time_s - 1.0) * 100.0,
+                online.chosen_dwp.expect("bwap") * 100.0,
+                best_dwp * 100.0,
+            ],
+        );
     }
     t
 }
 
+/// Streamcluster co-scheduled on machine A at `workers` under each of
+/// `policies`, with the engine configured by `sim_cfg` — the single-app
+/// campaign behind the model, step-size and migration ablations.
+fn sc_ablation(
+    name: &str,
+    quick: bool,
+    workers: usize,
+    policies: Vec<PlacementPolicy>,
+    sim_cfg: SimConfig,
+) -> Cells {
+    Cells::run(
+        &CampaignSpec::new(name, machines::machine_a())
+            .workloads(vec![streamcluster(quick)])
+            .policies(policies)
+            .scenarios(vec![ScenarioKind::Coscheduled])
+            .worker_counts(vec![workers])
+            .sim_cfg(sim_cfg),
+    )
+}
+
 /// Ablation 3: model components — write amplification and loaded-latency
-/// inflation switched off, effect on the headline comparison (bwap vs
-/// uniform-workers speedup, SC machine A 2W co-scheduled).
+/// inflation switched off, effect on the headline comparison (bwap and
+/// first-touch vs uniform-workers speedup, SC machine A 2W co-scheduled).
+/// Every policy of a row runs under that row's model.
 pub fn ablation_model(quick: bool) -> ResultTable {
-    let m = machines::machine_a();
-    let workers = m.best_worker_set(2);
-    let spec = streamcluster(quick);
     let variants: Vec<(&str, SimConfig)> = vec![
         ("full model", SimConfig::default()),
         (
@@ -673,79 +632,48 @@ pub fn ablation_model(quick: bool) -> ResultTable {
         ),
         ("no loaded latency", SimConfig { latency_inflation: (0.0, 4.0), ..SimConfig::default() }),
     ];
-    let jobs: Vec<_> = variants
-        .iter()
-        .map(|(_, cfg)| {
-            let m = m.clone();
-            let spec = spec.clone();
-            let cfg = cfg.clone();
-            move || {
-                let uw = run_coscheduled_with(
-                    &m,
-                    &spec,
-                    workers,
-                    &PlacementPolicy::UniformWorkers,
-                    cfg.clone(),
-                )
-                .expect("scenario");
-                let bw = run_coscheduled_with(
-                    &m,
-                    &spec,
-                    workers,
-                    &PlacementPolicy::Bwap(BwapConfig::default()),
-                    cfg,
-                )
-                .expect("scenario");
-                let ft = run_coscheduled_with(
-                    &m,
-                    &spec,
-                    workers,
-                    &PlacementPolicy::FirstTouch,
-                    SimConfig::default(),
-                )
-                .expect("scenario");
-                [uw.exec_time_s / bw.exec_time_s, uw.exec_time_s / ft.exec_time_s]
-            }
-        })
-        .collect();
-    let rows = run_parallel(jobs);
     let mut t = ResultTable::new(
         "Ablation: model components (SC, machine A, 2W): speedups vs uniform-workers",
         vec!["bwap speedup".into(), "first-touch speedup".into()],
     );
-    for ((label, _), vals) in variants.iter().zip(rows) {
-        t.push_row(label, vals.to_vec());
+    for (label, sim_cfg) in variants {
+        // One campaign per model, since a spec has one engine config.
+        let policies = vec![
+            PlacementPolicy::UniformWorkers,
+            PlacementPolicy::Bwap(BwapConfig::default()),
+            PlacementPolicy::FirstTouch,
+        ];
+        let cells = sc_ablation("ablation_model", quick, 2, policies, sim_cfg);
+        let uw = cells.at(0, 0).exec_time_s;
+        t.push_row(label, vec![uw / cells.at(0, 1).exec_time_s, uw / cells.at(0, 2).exec_time_s]);
     }
     t
 }
 
 /// Ablation 4: hill-climb step-size sensitivity (SC machine A 1W).
 pub fn ablation_step_size(quick: bool) -> ResultTable {
-    let m = machines::machine_a();
-    let workers = m.best_worker_set(1);
-    let spec = streamcluster(quick);
     let steps = [0.05, 0.10, 0.20];
-    let jobs: Vec<_> = steps
+    // Every variant carries the label `bwap`: cells are read by policy
+    // index, which is the step's index.
+    let policies = steps
         .iter()
         .map(|&step| {
-            let m = m.clone();
-            let spec = spec.clone();
-            move || {
-                let mut cfg = BwapConfig::default();
-                cfg.tuner.step = step;
-                let r = run_coscheduled(&m, &spec, workers, &PlacementPolicy::Bwap(cfg))
-                    .expect("scenario");
-                [r.chosen_dwp.unwrap_or(0.0) * 100.0, r.exec_time_s]
-            }
+            let mut cfg = BwapConfig::default();
+            cfg.tuner.step = step;
+            PlacementPolicy::Bwap(cfg)
         })
         .collect();
-    let rows = run_parallel(jobs);
+    let cells = sc_ablation("ablation_step", quick, 1, policies, SimConfig::default());
     let mut t = ResultTable::new(
         "Ablation: DWP step size (SC, machine A, 1W, co-scheduled)",
         vec!["chosen DWP %".into(), "exec time [s]".into()],
     );
-    for (step, vals) in steps.iter().zip(rows) {
-        t.push_row(&format!("x = {:.0}%", step * 100.0), vals.to_vec());
+    for (pi, step) in steps.iter().enumerate() {
+        let r = cells.at(0, pi);
+        t.push_row(
+            &format!("x = {:.0}%", step * 100.0),
+            vec![r.chosen_dwp.unwrap_or(0.0) * 100.0, r.exec_time_s],
+        );
     }
     t
 }
@@ -753,37 +681,21 @@ pub fn ablation_step_size(quick: bool) -> ResultTable {
 /// Ablation 5: migration-bandwidth sensitivity of the tuner (SC machine A
 /// 1W): convergence cost at different kernel page-copy budgets.
 pub fn ablation_migration_budget(quick: bool) -> ResultTable {
-    let m = machines::machine_a();
-    let workers = m.best_worker_set(1);
-    let spec = streamcluster(quick);
-    let budgets = [0.5, 2.0, 8.0];
-    let jobs: Vec<_> = budgets
-        .iter()
-        .map(|&gbps| {
-            let m = m.clone();
-            let spec = spec.clone();
-            move || {
-                let cfg = SimConfig { migration_gbps: gbps, ..SimConfig::default() };
-                let r = run_coscheduled_with(
-                    &m,
-                    &spec,
-                    workers,
-                    &PlacementPolicy::Bwap(BwapConfig::default()),
-                    cfg,
-                )
-                .expect("scenario");
-                [r.exec_time_s, r.migrated_pages as f64, r.chosen_dwp.unwrap_or(0.0) * 100.0]
-            }
-        })
-        .collect();
-    let rows = run_parallel(jobs);
     let mut t = ResultTable::new(
         "Ablation: migration budget (SC, machine A, 1W, co-scheduled)",
         vec!["exec time [s]".into(), "pages migrated".into(), "chosen DWP %".into()],
     );
     t.precision = 1;
-    for (gbps, vals) in budgets.iter().zip(rows) {
-        t.push_row(&format!("{gbps} GB/s"), vals.to_vec());
+    for gbps in [0.5, 2.0, 8.0] {
+        // One campaign per budget, since a spec has one engine config.
+        let sim_cfg = SimConfig { migration_gbps: gbps, ..SimConfig::default() };
+        let policies = vec![PlacementPolicy::Bwap(BwapConfig::default())];
+        let cells = sc_ablation("ablation_migration", quick, 1, policies, sim_cfg);
+        let r = cells.at(0, 0);
+        t.push_row(
+            &format!("{gbps} GB/s"),
+            vec![r.exec_time_s, r.migrated_pages as f64, r.chosen_dwp.unwrap_or(0.0) * 100.0],
+        );
     }
     t
 }

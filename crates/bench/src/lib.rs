@@ -2,11 +2,10 @@
 //! of the campaign engine.
 //!
 //! * [`experiments`] — every evaluation experiment, declared as
-//!   `CampaignSpec`s where the experiment is a scenario matrix and
-//!   rendered into [`ResultTable`]s.
+//!   `CampaignSpec`s and rendered into [`ResultTable`]s from the reports.
 //! * [`report`] — ASCII/CSV result tables.
 //! * [`doc_check`] — the offline markdown link-and-anchor checker behind
-//!   the `doc_check` CI gate and `tests/docs_links.rs`.
+//!   `tests/docs_links.rs`.
 //! * [`explorer`] — the static-HTML campaign explorer (the `explorer`
 //!   binary renders a report's evaluation grid with drill-down links to
 //!   per-cell Chrome-trace files).
@@ -14,13 +13,15 @@
 //!   the `tracecheck` binary and `tests/tracing.rs`.
 //! * [`cli`] — the campaign-spec flag vocabulary behind the `campaign`
 //!   binary: textual axis flags in, a validated `CampaignSpec` out.
-//! * The per-figure binaries in `src/bin/` are thin wrappers: declare a
-//!   spec, run the campaign, print the tables, save the artifacts. The
-//!   `campaign` binary runs ad-hoc specs straight from the command line
+//! * The binaries in `src/bin/`: `paper` runs every experiment, prints
+//!   its tables next to the paper's reference values and saves the CSV
+//!   artifacts. `campaign` runs ad-hoc or canned specs (`--spec fig4`,
+//!   …) straight from the command line and writes their JSON reports
 //!   (`--trace DIR` records per-cell Chrome traces, `docs/TRACING.md`;
 //!   `--cache-dir DIR` memoizes cells on disk, and a directory shared
 //!   between machines spreads one campaign over them,
-//!   `docs/ROBUSTNESS.md`).
+//!   `docs/ROBUSTNESS.md`). `explorer` and `tracecheck` read what
+//!   `campaign` writes.
 //!
 //! # Examples
 //!
@@ -31,13 +32,14 @@
 //! use bwap_bench::ResultTable;
 //!
 //! let mut times = ResultTable::new(
-//!     "exec time [s]",
+//!     "machine-B, 1 worker(s): exec time [s]",
 //!     vec!["uniform-workers".into(), "bwap".into()],
 //! );
 //! times.push_row("SC", vec![10.0, 8.0]);
 //!
 //! // Fig. 2/3 plot speedups versus the incumbent policy:
 //! let speedups = times.normalized_to("uniform-workers");
+//! assert_eq!(speedups.title, "machine-B, 1 worker(s): speedup over uniform-workers");
 //! assert_eq!(speedups.get("SC", "bwap"), Some(1.25));
 //! assert!(speedups.to_csv().starts_with("label,uniform-workers,bwap"));
 //! ```
@@ -49,7 +51,6 @@ pub mod explorer;
 pub mod report;
 pub mod tracecheck;
 
-pub use bwap_runtime::{run_parallel, run_parallel_with};
 pub use report::ResultTable;
 
 use std::path::PathBuf;

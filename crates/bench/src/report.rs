@@ -35,9 +35,14 @@ impl ResultTable {
         values.get(c).copied()
     }
 
-    /// Divide every cell by the row's value in `reference` — turning
-    /// execution times into speedups versus a baseline policy, as the
-    /// paper's Fig. 2/3 do against uniform-workers.
+    /// Divide the row's value in `reference` by every cell — turning
+    /// execution times into speedups versus a baseline policy (higher is
+    /// better), as the paper's Fig. 2/3 do against uniform-workers.
+    ///
+    /// A caption names its quantity after its last `": "` (`"machine-A,
+    /// 1 worker(s), co-scheduled: exec time [s]"`); the normalized table
+    /// keeps the context and names its own quantity, `"speedup over
+    /// <reference>"`.
     pub fn normalized_to(&self, reference: &str) -> ResultTable {
         let ref_idx = self
             .columns
@@ -45,7 +50,10 @@ impl ResultTable {
             .position(|c| c == reference)
             .unwrap_or_else(|| panic!("no column {reference}"));
         let mut out = self.clone();
-        out.title = format!("{} (normalized: {} = 1)", self.title, reference);
+        out.title = match self.title.rsplit_once(": ") {
+            Some((context, _)) => format!("{context}: speedup over {reference}"),
+            None => format!("speedup over {reference}"),
+        };
         for (_, values) in &mut out.rows {
             let r = values[ref_idx];
             for v in values.iter_mut() {
@@ -122,6 +130,10 @@ mod tests {
     #[test]
     fn normalization_matches_speedup_semantics() {
         let n = table().normalized_to("uw");
+        assert_eq!(n.title, "speedup over uw");
+        let mut captioned = table();
+        captioned.title = "machine-B, 1 worker(s): exec time [s]".into();
+        assert_eq!(captioned.normalized_to("uw").title, "machine-B, 1 worker(s): speedup over uw");
         // speedup of bwap on SC = 10/8 = 1.25
         assert!((n.get("SC", "bwap").unwrap() - 1.25).abs() < 1e-12);
         assert!((n.get("SC", "uw").unwrap() - 1.0).abs() < 1e-12);

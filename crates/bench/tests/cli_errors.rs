@@ -44,6 +44,20 @@ fn explorer_reports_a_report_that_is_not_json() {
 }
 
 #[test]
+fn explorer_reports_a_report_nested_too_deep() {
+    // Deep enough to overflow the stack of a reader that recursed once
+    // per level, which would abort the process instead of exiting 1.
+    let dir = tmp("deep");
+    std::fs::create_dir_all(&dir).unwrap();
+    let report = dir.join("deep.campaign.json");
+    std::fs::write(&report, "[".repeat(100_000)).unwrap();
+    let out = dir.join("deep.explorer.html");
+    let args = [report.to_str().unwrap(), "--out", out.to_str().unwrap()];
+    assert_reports(env!("CARGO_BIN_EXE_explorer"), &args, &report);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn tracecheck_reports_a_missing_trace() {
     let trace = missing("trace.json");
     assert_reports(env!("CARGO_BIN_EXE_tracecheck"), &[trace.to_str().unwrap()], &trace);

@@ -31,12 +31,6 @@ pub struct BwapConfig {
     /// Disable the canonical tuner and start from uniform-all — the
     /// paper's `BWAP-uniform` ablation variant.
     pub uniform_canonical: bool,
-    /// Seed for any stochastic tuner component. The paper's DWP tuner is
-    /// fully deterministic, so today this only identifies the run: the
-    /// campaign engine (`bwap-runtime::campaign`) derives one seed per
-    /// experiment cell via [`crate::seed::derive_seed`], plumbs it in
-    /// here, and records it in the report so every cell is replayable.
-    pub seed: u64,
 }
 
 impl Default for BwapConfig {
@@ -47,7 +41,6 @@ impl Default for BwapConfig {
             online_tuning: true,
             fixed_dwp: 0.0,
             uniform_canonical: false,
-            seed: 0,
         }
     }
 }

@@ -4,7 +4,8 @@
 //! topology, the workload (or phase timeline), the effective placement
 //! policy, the scenario, the worker count, the DWP point, the simulation
 //! config (including the engine mode, which is pinned bit-identical), and
-//! the seed. [`CellDescriptor`] captures *all* of those inputs in one
+//! whatever the cell draws from its seed (a fleet's arrival schedule).
+//! [`CellDescriptor`] captures *all* of those inputs in one
 //! stable, versioned, serde-free text serialization plus a content hash —
 //! the foundation for exact memoization: equal descriptors imply
 //! byte-identical deterministic results, by construction (and enforced by
@@ -37,7 +38,7 @@
 //! b.field_u64("workers", 2);
 //! b.field_f64("dwp", 0.35);
 //! let d = b.finish();
-//! assert!(d.text().starts_with("bwap-cell-descriptor v1\n"));
+//! assert!(d.text().starts_with("bwap-cell-descriptor v2\n"));
 //! // Same inputs, same descriptor and hash — content-addressed.
 //! let mut b2 = DescriptorBuilder::new("bwap-cell");
 //! b2.field_str("workload", "SC");
@@ -50,8 +51,9 @@ use crate::seed::derive_seed;
 
 /// Version of the descriptor text format. Bump on ANY change to the
 /// encoding or to the set of fields a consumer serializes — stale cache
-/// entries from older versions must never alias current results.
-pub const FORMAT_VERSION: u32 = 1;
+/// entries from older versions must never alias current results. v2
+/// dropped the constant `seed` line campaign cells carried.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// A finished canonical descriptor: the full text and its content hash.
 ///
@@ -247,7 +249,7 @@ mod tests {
     #[test]
     fn stale_version_rejected() {
         let d = simple("cell", 0.45);
-        let stale = d.text().replacen("v1", "v0", 1);
+        let stale = d.text().replacen(&format!("v{FORMAT_VERSION}"), "v0", 1);
         assert!(CellDescriptor::from_text(&stale).is_none());
         assert!(CellDescriptor::from_text("").is_none());
         assert!(CellDescriptor::from_text("garbage\nkind=scell\n").is_none());

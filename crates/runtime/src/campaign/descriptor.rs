@@ -21,14 +21,14 @@
 //!   `Bwap(static_dwp(0.5))` at `AsConfigured` and `Bwap(default)` at
 //!   `Static(0.5)` — which run the exact same simulation — share one
 //!   descriptor.
-//! * **The per-cell seed is normalized out** for policies that consume no
-//!   randomness. Every current policy is fully deterministic
-//!   (`BwapConfig::seed` only *identifies* a run; nothing reads it), and
-//!   per-cell seeds are unique by construction — including them verbatim
-//!   would make every descriptor unique and dedup vacuous. A future
-//!   stochastic policy must report itself seed-consuming in
-//!   [`effective_seed`], which re-tightens its classes; the proptest
-//!   invariant is the backstop that catches a policy that forgets.
+//! * **The per-cell seed is left out.** Every policy is fully
+//!   deterministic and consumes no randomness, and per-cell seeds are
+//!   unique by construction — including them verbatim would make every
+//!   descriptor unique and dedup vacuous. Fleet cells are the one place a
+//!   seed is consumed (the Poisson arrival stream), so their descriptor
+//!   serializes the resolved schedule instead. A future stochastic
+//!   policy must write the seed it consumes; the proptest invariant is
+//!   the backstop that catches a policy that forgets.
 
 use super::{CampaignSpec, CellSpec, DwpPoint, ScenarioKind};
 use crate::adaptive::AdaptiveConfig;
@@ -40,44 +40,18 @@ use bwap_topology::{MachineTopology, NodeId};
 use bwap_workloads::WorkloadSpec;
 
 /// The policy a cell actually runs: the declared axis policy with the
-/// campaign engine's per-cell overrides applied (the cell seed, and —
-/// for a static DWP point — the pinned DWP with online search disabled).
+/// campaign engine's per-cell override applied (for a static DWP point,
+/// the pinned DWP with online search disabled).
 ///
 /// `run_cell` and [`cell_descriptor`] both go through this function, so
 /// the descriptor can never drift from what executes.
 pub fn effective_policy(spec: &CampaignSpec, cell: &CellSpec) -> PlacementPolicy {
     let mut policy = spec.policies[cell.policy_idx].clone();
-    match &mut policy {
-        PlacementPolicy::Bwap(cfg) => {
-            cfg.seed = cell.seed;
-            if let DwpPoint::Static(d) = cell.dwp {
-                cfg.online_tuning = false;
-                cfg.fixed_dwp = d;
-            }
-        }
-        PlacementPolicy::AdaptiveBwap(acfg) => acfg.bwap.seed = cell.seed,
-        _ => {}
+    if let (PlacementPolicy::Bwap(cfg), DwpPoint::Static(d)) = (&mut policy, cell.dwp) {
+        cfg.online_tuning = false;
+        cfg.fixed_dwp = d;
     }
     policy
-}
-
-/// The seed value a cell's *computation* consumes. Every current policy
-/// is fully deterministic — the configured seed is provenance, never an
-/// input — so this is 0 for all of them, which is what lets cells that
-/// differ only in their derived seed share a descriptor. A stochastic
-/// policy added later must return `cell_seed` here.
-pub fn effective_seed(policy: &PlacementPolicy, cell_seed: u64) -> u64 {
-    match policy {
-        PlacementPolicy::FirstTouch
-        | PlacementPolicy::UniformWorkers
-        | PlacementPolicy::UniformAll
-        | PlacementPolicy::AutoNuma
-        | PlacementPolicy::Bwap(_)
-        | PlacementPolicy::AdaptiveBwap(_) => {
-            let _ = cell_seed;
-            0
-        }
-    }
 }
 
 /// Build the canonical content-addressed descriptor of one cell.
@@ -108,9 +82,7 @@ pub fn cell_descriptor(spec: &CampaignSpec, cell: &CellSpec) -> CellDescriptor {
         describe_workload(&mut b, "", &spec.workloads[cell.workload_idx]);
     }
 
-    let policy = effective_policy(spec, cell);
-    describe_policy(&mut b, &policy);
-    b.field_u64("seed", effective_seed(&policy, cell.seed));
+    describe_policy(&mut b, &effective_policy(spec, cell));
 
     b.field_str("scenario", cell.scenario.label());
     b.field_u64("workers", cell.workers as u64);
@@ -134,11 +106,11 @@ pub fn cell_descriptor(spec: &CampaignSpec, cell: &CellSpec) -> CellDescriptor {
 ///
 /// The schedule must be resolved here rather than summarized as
 /// `(rate, seed)` because the Poisson stream *consumes* the cell seed
-/// while [`effective_seed`] normalizes seeds away for deterministic
-/// policies: two cells with the same rate under different root seeds run
-/// different streams, and only the resolved schedule separates their
-/// descriptors. (Conversely, a trace-driven fleet and a Poisson fleet
-/// that happen to produce the same schedule genuinely share a result.)
+/// while descriptors otherwise leave seeds out: two cells with the same
+/// rate under different root seeds run different streams, and only the
+/// resolved schedule separates their descriptors. (Conversely, a
+/// trace-driven fleet and a Poisson fleet that happen to produce the same
+/// schedule genuinely share a result.)
 fn fleet_descriptor(spec: &CampaignSpec, cell: &CellSpec) -> CellDescriptor {
     let axis = spec.fleet.as_ref().expect("fleet cells exist only with a fleet axis");
     let mut b = DescriptorBuilder::new("campaign-fleet-cell");
@@ -167,9 +139,7 @@ fn fleet_descriptor(spec: &CampaignSpec, cell: &CellSpec) -> CellDescriptor {
         describe_workload(&mut b, &p, &j.workload);
     }
 
-    let policy = effective_policy(spec, cell);
-    describe_policy(&mut b, &policy);
-    b.field_u64("seed", effective_seed(&policy, cell.seed));
+    describe_policy(&mut b, &effective_policy(spec, cell));
 
     b.field_str("scenario", cell.scenario.label());
     b.field_u64("workers", cell.workers as u64);
@@ -252,9 +222,7 @@ fn describe_workload(b: &mut DescriptorBuilder, prefix: &str, w: &WorkloadSpec) 
     b.field_bool(&format!("{prefix}open_loop"), w.open_loop);
 }
 
-/// Serialize the effective policy. The configured seed is *not* written
-/// here — [`effective_seed`] decides what (if anything) of it reaches the
-/// descriptor.
+/// Serialize the effective policy.
 fn describe_policy(b: &mut DescriptorBuilder, policy: &PlacementPolicy) {
     match policy {
         PlacementPolicy::FirstTouch => b.field_str("policy", "first-touch"),

@@ -2,9 +2,10 @@
 //!
 //! The paper's evaluation is a cartesian product — {workloads} ×
 //! {policies} × {stand-alone, co-scheduled} × {worker counts} × {static
-//! DWPs}. Instead of each figure binary hand-rolling a serial loop over
+//! DWPs}. Instead of a hand-rolled serial loop over
 //! [`crate::run_standalone`] / [`crate::run_coscheduled`], a
-//! [`CampaignSpec`] *declares* the matrix and [`run_campaign`] executes
+//! [`CampaignSpec`] *declares* the matrix (every table of the paper
+//! harness is built from such specs) and [`run_campaign`] executes
 //! it: cells are enumerated in a deterministic order, each gets a seed
 //! derived from the campaign seed and the cell's identity
 //! ([`bwap::seed::derive_seed`]), and a sharded executor
@@ -22,11 +23,11 @@
 //! Phase-structured workloads ([`bwap_workloads::PhasedWorkload`]) are a
 //! first-class axis: declare them with
 //! [`CampaignSpec::phased_workloads`], sweep phase durations with the
-//! [`CampaignSpec::phase_periods`] axis, and their cells run through the
-//! phased scenario runners (the `fig_phases` campaign pits adaptive BWAP
-//! against the static policies this way). Classic campaigns declare no
-//! phased workloads and enumerate byte-identically to the pre-phase
-//! engine.
+//! [`CampaignSpec::phase_periods`] axis, and their cells run the cycling
+//! demand timeline through the same scenario core as plain cells (the
+//! `fig_phases` campaign pits adaptive BWAP against the static policies
+//! this way). Classic campaigns declare no phased workloads and
+//! enumerate byte-identically to the pre-phase engine.
 //!
 //! New scenarios (topologies, workloads, co-schedule mixes) plug in by
 //! declaring a spec — not by writing another binary.
@@ -48,7 +49,7 @@ use crate::error::RuntimeError;
 use crate::fleet::{
     jobs_from_trace, poisson_jobs, run_fleet, FleetConfig, MachineKind, SchedulerKind,
 };
-use crate::scenario::{coscheduled_impl, standalone_impl, RunResult};
+use crate::scenario::{run_scenario, Measured, RunResult};
 use bwap::derive_seed;
 use bwap_topology::MachineTopology;
 use bwap_workloads::arrivals::ArrivalEvent;
@@ -138,7 +139,7 @@ pub struct CampaignSpec {
     /// Scenario axis (default: stand-alone only).
     pub scenarios: Vec<ScenarioKind>,
     /// Worker-count axis (default: 1). Each count resolves to the
-    /// machine's rule-of-thumb worker set, as the figure binaries did.
+    /// machine's rule-of-thumb worker set (`best_worker_set`).
     pub worker_counts: Vec<usize>,
     /// Static-DWP axis (default: as-configured only).
     pub dwp_grid: Vec<DwpPoint>,
@@ -714,9 +715,9 @@ fn write_trace(dir: &Path, key: &str, sink: &TraceSink) -> Option<String> {
 }
 
 /// Run one cell: resolve the worker set, apply the cell's DWP override
-/// and seed to the policy, and dispatch to the scenario runner. When
-/// `trace` is `Some`, the run is observed by a [`TraceSink`] stored into
-/// the slot afterwards.
+/// to the policy, and run the scenario core (fleet cells run the fleet).
+/// When `trace` is `Some`, the run is observed by a [`TraceSink`] stored
+/// into the slot afterwards.
 fn run_cell(
     spec: &CampaignSpec,
     cell: &CellSpec,
@@ -738,60 +739,12 @@ fn run_cell(
     // from — extraction keeps the two in lockstep (see `descriptor`).
     let policy = effective_policy(spec, cell);
     let workers = spec.machine.best_worker_set(cell.workers);
-    if let Some(phased) =
-        cell.workload_idx.checked_sub(spec.workloads.len()).map(|i| &spec.phased_workloads[i])
-    {
-        let timeline = phased.profiles_for(&spec.machine, cell.phase_period);
-        return match cell.scenario {
-            ScenarioKind::Standalone => standalone_impl(
-                &spec.machine,
-                phased.layout_spec(),
-                Some(timeline),
-                &phased.name,
-                workers,
-                &policy,
-                spec.sim_cfg.clone(),
-                trace,
-            ),
-            ScenarioKind::Coscheduled => coscheduled_impl(
-                &spec.machine,
-                phased.layout_spec(),
-                Some(timeline),
-                &phased.name,
-                workers,
-                &policy,
-                spec.sim_cfg.clone(),
-                trace,
-            ),
-            // Dispatched at the top of this function.
-            ScenarioKind::Fleet => unreachable!("fleet cells dispatch to run_fleet_cell"),
-        };
-    }
-    let workload = &spec.workloads[cell.workload_idx];
-    match cell.scenario {
-        ScenarioKind::Standalone => standalone_impl(
-            &spec.machine,
-            workload,
-            None,
-            workload.name,
-            workers,
-            &policy,
-            spec.sim_cfg.clone(),
-            trace,
-        ),
-        ScenarioKind::Coscheduled => coscheduled_impl(
-            &spec.machine,
-            workload,
-            None,
-            workload.name,
-            workers,
-            &policy,
-            spec.sim_cfg.clone(),
-            trace,
-        ),
-        // Dispatched at the top of this function.
-        ScenarioKind::Fleet => unreachable!("fleet cells dispatch to run_fleet_cell"),
-    }
+    let app = match cell.workload_idx.checked_sub(spec.workloads.len()) {
+        Some(i) => Measured::phased(&spec.phased_workloads[i], &spec.machine, cell.phase_period),
+        None => Measured::plain(&spec.workloads[cell.workload_idx]),
+    };
+    let coscheduled = cell.scenario == ScenarioKind::Coscheduled;
+    run_scenario(&spec.machine, app, workers, &policy, spec.sim_cfg.clone(), coscheduled, trace)
 }
 
 /// Run one fleet cell: build the [`FleetConfig`] from the spec's fleet

@@ -29,7 +29,7 @@
 
 use crate::baselines::PlacementPolicy;
 use crate::error::RuntimeError;
-use crate::scenario::{launch_measured, run_standalone_with, traffic_counters, MAX_SIM_S};
+use crate::scenario::{launch_measured, run_scenario, traffic_counters, Measured, MAX_SIM_S};
 use bwap_topology::{machines, MachineTopology, NodeSet};
 use bwap_workloads::arrivals::ArrivalEvent;
 use bwap_workloads::WorkloadSpec;
@@ -430,12 +430,14 @@ pub fn run_fleet(
             let solo = match solo_memo.get(&memo_key) {
                 Some(&t) => t,
                 None => {
-                    let r = run_standalone_with(
+                    let r = run_scenario(
                         &cfg.machines[mi],
-                        &job.workload,
+                        Measured::plain(&job.workload),
                         workers,
                         &policy,
                         cfg.sim_cfg.clone(),
+                        false,
+                        None,
                     )?;
                     solo_memo.insert(memo_key, r.exec_time_s);
                     r.exec_time_s

@@ -21,17 +21,18 @@
 //!   phase-structured workloads (`bwap_workloads::PhasedWorkload`) and the
 //!   `fig_phases` campaign.
 //! * [`scenario`] — the paper's two evaluation scenarios (stand-alone and
-//!   co-scheduled, §IV-A) as reusable runners — for plain and
-//!   phase-structured workloads — and the worker-count sweep behind
-//!   Fig. 3c/d.
+//!   co-scheduled, §IV-A) as reusable runners for plain and
+//!   phase-structured workloads, over one scenario core that every
+//!   campaign cell runs through too.
 //! * [`fleet`] — fleet-scale serving: open-loop job arrivals over many
 //!   machines, pluggable cluster schedulers and deterministic tail-latency
 //!   (slowdown-vs-solo) metrics.
-//! * [`sweep`] — static-DWP sweeps (Fig. 4).
 //! * [`campaign`] — the declarative experiment-campaign engine: a
-//!   [`CampaignSpec`] describes the whole evaluation matrix; a sharded
-//!   executor fans the cells out across threads and collects a
-//!   machine-readable, versioned [`CampaignReport`].
+//!   [`CampaignSpec`] describes the whole evaluation matrix (a static-DWP
+//!   sweep is its `dwp_grid` axis, a worker-count sweep its
+//!   `worker_counts` axis); a sharded executor fans the cells out across
+//!   threads and collects a machine-readable, versioned
+//!   [`CampaignReport`].
 
 pub mod adaptive;
 pub mod apply;
@@ -43,7 +44,6 @@ pub mod error;
 pub mod fleet;
 pub mod profiling;
 pub mod scenario;
-pub mod sweep;
 
 pub use adaptive::{AdaptiveBwapDaemon, AdaptiveConfig};
 pub use apply::apply_weights;
@@ -63,8 +63,37 @@ pub use fleet::{
 pub use numasim::EngineMode;
 pub use profiling::{profile_bandwidth, ProfileBook};
 pub use scenario::{
-    run_coscheduled, run_coscheduled_phased, run_coscheduled_with, run_standalone,
-    run_standalone_phased, run_standalone_traced, run_standalone_with, sweep_worker_counts,
-    RunResult,
+    run_coscheduled, run_coscheduled_phased, run_standalone, run_standalone_phased,
+    run_standalone_traced, RunResult,
 };
-pub use sweep::{dwp_sweep, SweepPoint};
+
+/// Static-DWP sweeps (paper Fig. 4) have no runner of their own: a sweep
+/// is a campaign over the [`CampaignSpec::dwp_grid`] axis.
+#[cfg(test)]
+mod sweep {
+    mod tests {
+        use crate::{run_campaign, CampaignSpec, DwpPoint, PlacementPolicy};
+        use bwap::BwapConfig;
+        use bwap_topology::machines;
+
+        #[test]
+        fn stall_rate_tracks_execution_time() {
+            // Paper: "stall rate is effectively correlated to execution time".
+            let spec = CampaignSpec::new("static-sweep", machines::machine_b())
+                .workloads(vec![bwap_workloads::streamcluster().scaled_down(16.0)])
+                .policies(vec![PlacementPolicy::Bwap(BwapConfig::default())])
+                .dwp_grid([0.0, 0.5, 1.0].map(DwpPoint::Static).to_vec());
+            let report = run_campaign(&spec);
+            let points: Vec<_> =
+                report.cells.iter().map(|c| c.result().expect("sweep cell ran")).collect();
+            assert_eq!(points.len(), 3);
+            // Order by time and by stall fraction: ranks must agree.
+            let rank = |key: fn(&crate::RunResult) -> f64| {
+                let mut v: Vec<usize> = (0..points.len()).collect();
+                v.sort_by(|&a, &b| key(points[a]).partial_cmp(&key(points[b])).unwrap());
+                v
+            };
+            assert_eq!(rank(|p| p.exec_time_s), rank(|p| p.stall_frac), "{points:?}");
+        }
+    }
+}

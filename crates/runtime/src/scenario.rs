@@ -205,14 +205,15 @@ pub fn run_standalone(
     workers: NodeSet,
     policy: &PlacementPolicy,
 ) -> Result<RunResult, RuntimeError> {
-    run_standalone_with(machine, spec, workers, policy, SimConfig::default())
+    let app = Measured::plain(spec);
+    run_scenario(machine, app, workers, policy, SimConfig::default(), false, None)
 }
 
-/// [`run_standalone_with`] that additionally captures a structured run
-/// trace: a default-capacity [`TraceSink`] is installed on the simulator
-/// before launch and returned alongside the result. Serialize it with
-/// [`TraceSink::to_chrome_json`] for Perfetto / `chrome://tracing` (see
-/// `docs/TRACING.md`).
+/// [`run_standalone`] under an explicit engine configuration that
+/// additionally captures a structured run trace: a default-capacity
+/// [`TraceSink`] is installed on the simulator before launch and returned
+/// alongside the result. Serialize it with [`TraceSink::to_chrome_json`]
+/// for Perfetto / `chrome://tracing` (see `docs/TRACING.md`).
 pub fn run_standalone_traced(
     machine: &MachineTopology,
     spec: &WorkloadSpec,
@@ -221,21 +222,9 @@ pub fn run_standalone_traced(
     sim_cfg: SimConfig,
 ) -> Result<(RunResult, TraceSink), RuntimeError> {
     let mut slot = None;
-    let result =
-        standalone_impl(machine, spec, None, spec.name, workers, policy, sim_cfg, Some(&mut slot))?;
+    let app = Measured::plain(spec);
+    let result = run_scenario(machine, app, workers, policy, sim_cfg, false, Some(&mut slot))?;
     Ok((result, slot.expect("traced run returns its sink")))
-}
-
-/// [`run_standalone`] with an explicit engine configuration (used by the
-/// model ablations).
-pub fn run_standalone_with(
-    machine: &MachineTopology,
-    spec: &WorkloadSpec,
-    workers: NodeSet,
-    policy: &PlacementPolicy,
-    sim_cfg: SimConfig,
-) -> Result<RunResult, RuntimeError> {
-    standalone_impl(machine, spec, None, spec.name, workers, policy, sim_cfg, None)
 }
 
 /// Run a phase-structured workload alone on `workers` under `policy`.
@@ -249,66 +238,8 @@ pub fn run_standalone_phased(
     sim_cfg: SimConfig,
     phase_period: Option<f64>,
 ) -> Result<RunResult, RuntimeError> {
-    let timeline = phased.profiles_for(machine, phase_period);
-    standalone_impl(
-        machine,
-        phased.layout_spec(),
-        Some(timeline),
-        &phased.name,
-        workers,
-        policy,
-        sim_cfg,
-        None,
-    )
-}
-
-/// Stand-alone scenario core. When `trace` is `Some`, a default-capacity
-/// [`TraceSink`] observes the whole run (installed before launch so spawn
-/// metadata lands in the trace) and is stored into the slot afterwards.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn standalone_impl(
-    machine: &MachineTopology,
-    spec: &WorkloadSpec,
-    timeline: Option<Vec<(f64, AppProfile)>>,
-    workload_name: &str,
-    workers: NodeSet,
-    policy: &PlacementPolicy,
-    sim_cfg: SimConfig,
-    trace: Option<&mut Option<TraceSink>>,
-) -> Result<RunResult, RuntimeError> {
-    let mut sim = Simulator::new(machine.clone(), sim_cfg);
-    if trace.is_some() {
-        sim.set_trace_sink(TraceSink::default());
-    }
-    let (pid, handle) =
-        launch_measured(&mut sim, machine, spec, timeline.as_deref(), workers, policy, None, None)?;
-    let start = sim.sample(pid)?;
-    let exec_time_s = sim.run_until_finished(pid, MAX_SIM_S)?;
-    if let Some(slot) = trace {
-        *slot = sim.take_trace_sink();
-    }
-    let (read_bytes, traffic_bytes) = traffic_counters(&sim, machine.node_count(), pid);
-    let (retunes, retune_times_s) = retune_extras(policy, &handle);
-    Ok(RunResult {
-        policy: policy.label(),
-        workload: workload_name.to_string(),
-        workers: workers.len(),
-        exec_time_s,
-        chosen_dwp: handle.as_ref().map(|h| h.dwp()),
-        migrated_pages: sim.migrated_pages(pid),
-        stall_frac: stall_frac_between(&sim, pid, &start),
-        a_stall_frac: None,
-        read_bytes,
-        traffic_bytes,
-        retunes,
-        retune_times_s,
-        phase_switches: timeline.is_some().then(|| sim.phase_switches(pid)),
-        jobs: None,
-        job_slowdowns: None,
-        slowdown_p50: None,
-        slowdown_p95: None,
-        slowdown_p99: None,
-    })
+    let app = Measured::phased(phased, machine, phase_period);
+    run_scenario(machine, app, workers, policy, sim_cfg, false, None)
 }
 
 /// Run the co-scheduled scenario: Swaptions (A) on the complement of
@@ -319,19 +250,8 @@ pub fn run_coscheduled(
     workers: NodeSet,
     policy: &PlacementPolicy,
 ) -> Result<RunResult, RuntimeError> {
-    run_coscheduled_with(machine, spec, workers, policy, SimConfig::default())
-}
-
-/// [`run_coscheduled`] with an explicit engine configuration (used by the
-/// model ablations).
-pub fn run_coscheduled_with(
-    machine: &MachineTopology,
-    spec: &WorkloadSpec,
-    workers: NodeSet,
-    policy: &PlacementPolicy,
-    sim_cfg: SimConfig,
-) -> Result<RunResult, RuntimeError> {
-    coscheduled_impl(machine, spec, None, spec.name, workers, policy, sim_cfg, None)
+    let app = Measured::plain(spec);
+    run_scenario(machine, app, workers, policy, SimConfig::default(), true, None)
 }
 
 /// Co-scheduled scenario with a phase-structured B. See
@@ -344,37 +264,64 @@ pub fn run_coscheduled_phased(
     sim_cfg: SimConfig,
     phase_period: Option<f64>,
 ) -> Result<RunResult, RuntimeError> {
-    let timeline = phased.profiles_for(machine, phase_period);
-    coscheduled_impl(
-        machine,
-        phased.layout_spec(),
-        Some(timeline),
-        &phased.name,
-        workers,
-        policy,
-        sim_cfg,
-        None,
-    )
+    let app = Measured::phased(phased, machine, phase_period);
+    run_scenario(machine, app, workers, policy, sim_cfg, true, None)
 }
 
-/// Co-scheduled scenario core; `trace` works as in [`standalone_impl`]
-/// (the sink observes both A and B — each process gets its own track).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn coscheduled_impl(
-    machine: &MachineTopology,
-    spec: &WorkloadSpec,
+/// The measured application of a scenario run: the spec that defines its
+/// memory layout, the phase timeline that drives its demand (`None` for a
+/// plain workload), and the workload name its result carries.
+pub(crate) struct Measured<'a> {
+    layout: &'a WorkloadSpec,
     timeline: Option<Vec<(f64, AppProfile)>>,
-    workload_name: &str,
+    name: &'a str,
+}
+
+impl<'a> Measured<'a> {
+    /// A plain workload: its own layout, demand from its profile.
+    pub(crate) fn plain(spec: &'a WorkloadSpec) -> Self {
+        Measured { layout: spec, timeline: None, name: spec.name }
+    }
+
+    /// A phase-structured workload on `machine`, its cycle rescaled to
+    /// `phase_period` seconds when given.
+    pub(crate) fn phased(
+        phased: &'a PhasedWorkload,
+        machine: &MachineTopology,
+        phase_period: Option<f64>,
+    ) -> Self {
+        Measured {
+            layout: phased.layout_spec(),
+            timeline: Some(phased.profiles_for(machine, phase_period)),
+            name: &phased.name,
+        }
+    }
+}
+
+/// The scenario core behind every runner, every machine-local campaign
+/// cell and the fleet's solo baselines: the measured application `app`
+/// runs on `workers` under `policy` (see [`launch_measured`]). With
+/// `coscheduled`, Swaptions (A) first occupies the worker-capable nodes
+/// the worker set leaves free.
+///
+/// When `trace` is `Some`, a default-capacity [`TraceSink`] observes the
+/// whole run and is stored into the slot afterwards. It is installed
+/// before anything spawns, so spawn metadata lands in the trace; in the
+/// co-scheduled scenario it observes both A and B (each process gets its
+/// own track).
+pub(crate) fn run_scenario(
+    machine: &MachineTopology,
+    app: Measured<'_>,
     workers: NodeSet,
     policy: &PlacementPolicy,
     sim_cfg: SimConfig,
+    coscheduled: bool,
     trace: Option<&mut Option<TraceSink>>,
 ) -> Result<RunResult, RuntimeError> {
-    let n = machine.node_count();
     // A runs on the worker-capable nodes B leaves free: CPU-less expander
     // nodes can never host A's threads (they stay pure memory donors).
     let workers_a = machine.worker_nodes().difference(workers);
-    if workers_a.is_empty() {
+    if coscheduled && workers_a.is_empty() {
         return Err(RuntimeError::Scenario(
             "co-scheduled scenario needs at least one free worker-capable node for A".into(),
         ));
@@ -383,80 +330,47 @@ pub(crate) fn coscheduled_impl(
     if trace.is_some() {
         sim.set_trace_sink(TraceSink::default());
     }
-    let a = sim.spawn(
-        bwap_workloads::swaptions().profile_for(machine),
-        workers_a,
-        None,
-        numasim::MemPolicy::FirstTouch,
-    )?;
-    let (b, handle) = launch_measured(
-        &mut sim,
-        machine,
-        spec,
-        timeline.as_deref(),
-        workers,
-        policy,
-        Some(a),
-        None,
-    )?;
-    let start_a = sim.sample(a)?;
-    let start_b = sim.sample(b)?;
-    let exec_time_s = sim.run_until_finished(b, MAX_SIM_S)?;
+    let a = if coscheduled {
+        Some(sim.spawn(
+            bwap_workloads::swaptions().profile_for(machine),
+            workers_a,
+            None,
+            numasim::MemPolicy::FirstTouch,
+        )?)
+    } else {
+        None
+    };
+    let timeline = app.timeline.as_deref();
+    let (pid, handle) =
+        launch_measured(&mut sim, machine, app.layout, timeline, workers, policy, a, None)?;
+    let start_a = a.map(|a| sim.sample(a)).transpose()?;
+    let start = sim.sample(pid)?;
+    let exec_time_s = sim.run_until_finished(pid, MAX_SIM_S)?;
     if let Some(slot) = trace {
         *slot = sim.take_trace_sink();
     }
-    let (read_bytes, traffic_bytes) = traffic_counters(&sim, n, b);
+    let (read_bytes, traffic_bytes) = traffic_counters(&sim, machine.node_count(), pid);
     let (retunes, retune_times_s) = retune_extras(policy, &handle);
     Ok(RunResult {
         policy: policy.label(),
-        workload: workload_name.to_string(),
+        workload: app.name.to_string(),
         workers: workers.len(),
         exec_time_s,
         chosen_dwp: handle.as_ref().map(|h| h.dwp()),
-        migrated_pages: sim.migrated_pages(b),
-        stall_frac: stall_frac_between(&sim, b, &start_b),
-        a_stall_frac: Some(stall_frac_between(&sim, a, &start_a)),
+        migrated_pages: sim.migrated_pages(pid),
+        stall_frac: stall_frac_between(&sim, pid, &start),
+        a_stall_frac: a.zip(start_a).map(|(a, start_a)| stall_frac_between(&sim, a, &start_a)),
         read_bytes,
         traffic_bytes,
         retunes,
         retune_times_s,
-        phase_switches: timeline.is_some().then(|| sim.phase_switches(b)),
+        phase_switches: app.timeline.is_some().then(|| sim.phase_switches(pid)),
         jobs: None,
         job_slowdowns: None,
         slowdown_p50: None,
         slowdown_p95: None,
         slowdown_p99: None,
     })
-}
-
-/// Sweep worker counts in the stand-alone scenario (the search behind
-/// Fig. 3c/d's "optimal number of workers"). Returns one result per
-/// candidate count, using the machine's rule-of-thumb worker set for each.
-pub fn sweep_worker_counts(
-    machine: &MachineTopology,
-    spec: &WorkloadSpec,
-    policy: &PlacementPolicy,
-    counts: &[usize],
-) -> Result<Vec<RunResult>, RuntimeError> {
-    counts
-        .iter()
-        .map(|&k| run_standalone(machine, spec, machine.best_worker_set(k), policy))
-        .collect()
-}
-
-/// The count from `counts` minimizing execution time under `policy`.
-pub fn optimal_worker_count(
-    machine: &MachineTopology,
-    spec: &WorkloadSpec,
-    policy: &PlacementPolicy,
-    counts: &[usize],
-) -> Result<(usize, f64), RuntimeError> {
-    let results = sweep_worker_counts(machine, spec, policy, counts)?;
-    let best = results
-        .iter()
-        .min_by(|a, b| a.exec_time_s.partial_cmp(&b.exec_time_s).expect("finite times"))
-        .ok_or_else(|| RuntimeError::Scenario("empty worker-count sweep".into()))?;
-    Ok((best.workers, best.exec_time_s))
 }
 
 #[cfg(test)]
@@ -504,21 +418,6 @@ mod tests {
         let m = machines::machine_b();
         let r = run_coscheduled(&m, &fast_sc(), m.all_nodes(), &PlacementPolicy::UniformAll);
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn worker_sweep_returns_all_counts() {
-        let m = machines::machine_b();
-        let rs = sweep_worker_counts(&m, &fast_sc(), &PlacementPolicy::UniformWorkers, &[1, 2, 4])
-            .unwrap();
-        assert_eq!(rs.len(), 3);
-        assert_eq!(rs[0].workers, 1);
-        assert_eq!(rs[2].workers, 4);
-        let (k, t) =
-            optimal_worker_count(&m, &fast_sc(), &PlacementPolicy::UniformWorkers, &[1, 2, 4])
-                .unwrap();
-        assert!(t > 0.0);
-        assert!([1usize, 2, 4].contains(&k));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Bandwidth/mix numbers come straight from Table I (NumaMMA
 //! characterization on machine B, one full worker node). Latency
 //! sensitivity, scalability and machine-A demand scale are calibration
-//! parameters fixed once (see `DESIGN.md` §3) — they encode, respectively:
+//! parameters fixed once (see the demand-axes table in
+//! `docs/WORKLOADS.md`) — they encode, respectively:
 //! which workloads the paper observed to be latency- vs bandwidth-bound
 //! (Table II's DWP values), each benchmark's optimal worker count
 //! (Fig. 3c/d labels), and machine A's lower per-core demand.

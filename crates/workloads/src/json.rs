@@ -10,7 +10,8 @@
 //!
 //! Numbers are parsed as `f64`, which is exact for the integer ranges
 //! the repo's artifacts use (timestamps, page counts, event ids all stay
-//! well below 2^53).
+//! well below 2^53). Nesting is capped at [`MAX_DEPTH`] levels, so no
+//! document can recurse the reader off the end of its stack.
 //!
 //! # Examples
 //!
@@ -23,6 +24,12 @@
 //! ```
 
 use std::fmt;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The reader
+/// recurses once per level, and a stack overflow aborts the process —
+/// no caller can catch it — so a deeper document is a [`JsonError`]
+/// instead. The repo's own documents nest fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parse failure: where it happened and what the reader expected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,7 +69,7 @@ pub enum Json {
 impl Json {
     /// Parse a complete JSON document (trailing garbage is an error).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -127,6 +134,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -159,8 +168,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.bytes.get(self.pos) {
-            Some(b'{') => self.object_value(),
-            Some(b'[') => self.array_value(),
+            Some(b'{') => self.nested(Self::object_value),
+            Some(b'[') => self.nested(Self::array_value),
             Some(b'"') => Ok(Json::String(self.string_value()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -168,6 +177,23 @@ impl<'a> Parser<'a> {
             Some(c) if c.is_ascii_digit() || *c == b'-' => self.number_value(),
             _ => Err(self.err("a JSON value")),
         }
+    }
+
+    /// Read one array or object, one level deeper than the caller.
+    fn nested(
+        &mut self,
+        read: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError {
+                offset: self.pos,
+                message: format!("nesting deeper than {MAX_DEPTH} levels"),
+            });
+        }
+        self.depth += 1;
+        let v = read(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
@@ -345,6 +371,18 @@ mod tests {
         assert!(err.to_string().contains("end of document"), "{err}");
         let err = Json::parse("{\"name\": ").unwrap_err();
         assert_eq!(err.offset, 9);
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
+        // Far past any stack: rejected at the cap, never recursed into.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+        assert!(Json::parse(&"{\"k\": ".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -140,9 +140,9 @@ proptest! {
         prop_assert_ne!(a, b);
     }
 
-    /// Campaign seeds are normalized out: every shipped policy is
-    /// deterministic (none reads `BwapConfig::seed`), so two campaigns
-    /// differing only in seed share every cell — and the cache.
+    /// Campaign seeds are left out: every shipped policy is
+    /// deterministic (none consumes a seed), so two campaigns differing
+    /// only in seed share every cell — and the cache.
     #[test]
     fn seed_does_not_change_the_descriptor(c in coord(), other_seed in 1000u64..2000) {
         let mut p = c.clone();

@@ -1,7 +1,6 @@
 //! The markdown documentation cannot rot: every relative link and anchor
-//! in `README.md` + `docs/*.md` must resolve, offline. The same check
-//! gates CI through the `doc_check` binary; running it under tier-1 makes
-//! a broken link fail `cargo test` locally too.
+//! in `README.md` + `docs/*.md` must resolve, offline. A broken link
+//! fails `cargo test`, locally and in CI's test job.
 
 use bwap_bench::doc_check::{check_files, default_doc_set};
 use std::path::PathBuf;

@@ -1,8 +1,33 @@
 //! The paper's headline claims, asserted at reduced scale. Each test names
-//! the claim it covers; `EXPERIMENTS.md` records the full-scale numbers.
+//! the claim it covers. The full-scale numbers come from the `paper`
+//! binary (`cargo run --release -p bwap-bench --bin paper`), whose CSV
+//! artifacts `docs/RESULTS_SCHEMA.md` lists.
 
 use bwap_suite::prelude::*;
-use bwap_suite::runtime::{dwp_sweep, sweep::sweep_optimum};
+
+/// A static-DWP sweep as one campaign over the `dwp_grid` axis: BWAP
+/// pinned at each of `dwps` in turn, 1 worker. Results in DWP order.
+fn static_sweep(
+    machine: MachineTopology,
+    spec: workloads::WorkloadSpec,
+    scenario: ScenarioKind,
+    dwps: &[f64],
+) -> Vec<RunResult> {
+    let spec = CampaignSpec::new("static-sweep", machine)
+        .workloads(vec![spec])
+        .policies(vec![PlacementPolicy::Bwap(BwapConfig::default())])
+        .scenarios(vec![scenario])
+        .dwp_grid(dwps.iter().map(|&d| DwpPoint::Static(d)).collect());
+    let report = run_campaign(&spec);
+    report.cells.iter().map(|c| c.result().expect("sweep cell ran").clone()).collect()
+}
+
+/// Indices of `points` ordered by `key`.
+fn rank(points: &[RunResult], key: fn(&RunResult) -> f64) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..points.len()).collect();
+    idx.sort_by(|&a, &b| key(&points[a]).partial_cmp(&key(&points[b])).unwrap());
+    idx
+}
 
 #[test]
 fn claim_fig1a_probe_matches_measured_matrix_exactly() {
@@ -30,18 +55,11 @@ fn claim_canonical_weights_follow_eq5() {
 fn claim_dwp_curve_convex_and_stall_tracks_time() {
     // §IV-B / Fig. 4: "stall rate is effectively correlated to execution
     // time and its variation with DWP is essentially convex".
-    let m = machines::machine_a();
     let spec = workloads::streamcluster().scaled_down(16.0);
-    let workers = m.best_worker_set(1);
     let dwps: Vec<f64> = (0..=10).map(|i| i as f64 / 10.0).collect();
-    let points = dwp_sweep(&m, &spec, workers, &dwps, true).unwrap();
+    let points = static_sweep(machines::machine_a(), spec, ScenarioKind::Coscheduled, &dwps);
     // Stall ranks must equal time ranks (correlation).
-    let rank = |key: fn(&bwap_suite::runtime::SweepPoint) -> f64| {
-        let mut idx: Vec<usize> = (0..points.len()).collect();
-        idx.sort_by(|&a, &b| key(&points[a]).partial_cmp(&key(&points[b])).unwrap());
-        idx
-    };
-    assert_eq!(rank(|p| p.exec_time_s), rank(|p| p.stall_frac));
+    assert_eq!(rank(&points, |p| p.exec_time_s), rank(&points, |p| p.stall_frac));
     // Quasi-convexity: times fall to the optimum, then rise.
     let opt = points
         .iter()
@@ -66,12 +84,16 @@ fn claim_tuner_lands_within_two_steps_of_static_optimum() {
     let spec = workloads::streamcluster().scaled_down(4.0);
     let workers = m.best_worker_set(1);
     let dwps: Vec<f64> = (0..=10).map(|i| i as f64 / 10.0).collect();
-    let points = dwp_sweep(&m, &spec, workers, &dwps, true).unwrap();
-    let best = sweep_optimum(&points).unwrap();
+    let points = static_sweep(m.clone(), spec.clone(), ScenarioKind::Coscheduled, &dwps);
+    let (best, _) = dwps
+        .iter()
+        .zip(&points)
+        .min_by(|a, b| a.1.exec_time_s.partial_cmp(&b.1.exec_time_s).expect("finite"))
+        .unwrap();
     let online =
         run_coscheduled(&m, &spec, workers, &PlacementPolicy::Bwap(BwapConfig::default())).unwrap();
     let chosen = online.chosen_dwp.unwrap();
-    assert!((chosen - best.dwp).abs() <= 0.2 + 1e-9, "chosen {chosen} vs static best {}", best.dwp);
+    assert!((chosen - best).abs() <= 0.2 + 1e-9, "chosen {chosen} vs static best {best}");
 }
 
 #[test]
