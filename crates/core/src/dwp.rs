@@ -145,11 +145,6 @@ impl DwpTuner {
         })
     }
 
-    /// The placement to install before sampling starts (DWP = 0).
-    pub fn initial_weights(&self) -> WeightDistribution {
-        apply_dwp(&self.canonical, self.workers, 0.0).expect("validated at construction")
-    }
-
     /// Current DWP.
     pub fn dwp(&self) -> f64 {
         self.dwp
@@ -163,11 +158,6 @@ impl DwpTuner {
     /// `(dwp, trimmed stall rate)` per completed iteration.
     pub fn history(&self) -> &[(f64, f64)] {
         &self.history
-    }
-
-    /// Sampling cadence the driver must honour.
-    pub fn sample_interval(&self) -> f64 {
-        self.cfg.sample_interval_s
     }
 
     /// Feed one stall-rate measurement.

@@ -93,11 +93,6 @@ impl CoschedTuner {
         &self.history
     }
 
-    /// The placement to install before sampling starts.
-    pub fn initial_weights(&self) -> WeightDistribution {
-        apply_dwp(&self.canonical, self.workers, 0.0).expect("validated at construction")
-    }
-
     /// Feed one pair of stall-rate measurements.
     pub fn on_samples(&mut self, stall_a: f64, stall_b: f64) -> TunerAction {
         if self.stage == Stage::Done {

@@ -21,7 +21,7 @@ use crate::daemon::Daemon;
 use crate::error::SimError;
 use crate::mem::address_space::AddressSpace;
 use crate::mem::frames::FramePools;
-use crate::mem::migrate::{check_range, MigrationQueue, PendingMove, PendingRange};
+use crate::mem::migrate::{check_range, MigrationQueue, PendingRange};
 use crate::mem::policy::MemPolicy;
 use crate::mem::segment::{SegmentId, SegmentKind};
 use crate::perf::{PerfCounters, ProcessSample};
@@ -104,11 +104,6 @@ impl AppProfile {
         }
         Ok(())
     }
-
-    /// Whether the application runs forever (service-style).
-    pub fn runs_forever(&self) -> bool {
-        self.total_traffic_gb.is_infinite()
-    }
 }
 
 /// How the simulator advances time (see `docs/ARCHITECTURE.md`).
@@ -167,6 +162,20 @@ impl Default for SimConfig {
             latency_inflation: (2.0, 4.0),
             mode: EngineMode::default(),
         }
+    }
+}
+
+impl SimConfig {
+    /// Check what [`Simulator::new`] relies on: a finite, positive
+    /// `epoch_dt` and a valid controller model.
+    pub fn validate(&self) -> Result<(), SimError> {
+        if !(self.epoch_dt.is_finite() && self.epoch_dt > 0.0) {
+            return Err(SimError::InvalidConfig(format!(
+                "epoch_dt must be finite and > 0, got {}",
+                self.epoch_dt
+            )));
+        }
+        self.ctrl_model.validate().map_err(SimError::InvalidConfig)
     }
 }
 
@@ -279,9 +288,13 @@ pub struct Simulator {
 
 impl Simulator {
     /// Boot a machine.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg` fails [`SimConfig::validate`]; callers taking a config
+    /// from outside check it first.
     pub fn new(machine: MachineTopology, cfg: SimConfig) -> Self {
-        assert!(cfg.epoch_dt > 0.0, "epoch must be positive");
-        cfg.ctrl_model.validate().expect("valid controller model");
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let resources = ResourceTable::from_machine(&machine);
         let frames = FramePools::from_machine(&machine);
         let n = machine.node_count();
@@ -630,21 +643,6 @@ impl Simulator {
             total += self.mbind(pid, id, 0, len, policy.clone(), move_pages)?;
         }
         Ok(total)
-    }
-
-    /// Directly enqueue single-page moves (tests and per-page callers;
-    /// contiguous moves coalesce into ranges in the queue). Validated like
-    /// [`Simulator::enqueue_move_ranges`].
-    pub fn enqueue_moves(
-        &mut self,
-        pid: ProcessId,
-        moves: Vec<PendingMove>,
-    ) -> Result<(), SimError> {
-        let ranges = moves
-            .into_iter()
-            .map(|m| PendingRange::constant(m.segment, m.page, 1, m.from, m.to))
-            .collect();
-        self.enqueue_move_ranges(pid, ranges)
     }
 
     /// Directly enqueue page-move ranges (used by AutoNUMA and tests).
@@ -1450,8 +1448,6 @@ mod tests {
             vec![PendingRange::constant(bogus, 0, 4, NodeId(0), NodeId(1))],
         );
         assert_eq!(r, Err(SimError::NoSuchSegment(99)));
-        let mv = PendingMove { segment: bogus, page: 0, from: NodeId(0), to: NodeId(1) };
-        assert_eq!(sim.enqueue_moves(pid, vec![mv]), Err(SimError::NoSuchSegment(99)));
         assert_eq!(sim.pending_migrations(pid), 0);
         sim.step(); // used to panic looking the segment up at completion
     }
@@ -1474,8 +1470,6 @@ mod tests {
             );
             assert!(matches!(r, Err(SimError::RangeOutOfBounds { .. })), "{start}+{l}: {r:?}");
         }
-        let mv = PendingMove { segment: seg, page: len, from: NodeId(0), to: NodeId(1) };
-        assert!(matches!(sim.enqueue_moves(pid, vec![mv]), Err(SimError::RangeOutOfBounds { .. })));
         // A pattern naming a node the machine lacks is refused too.
         let r = sim.enqueue_move_ranges(
             pid,

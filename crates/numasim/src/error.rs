@@ -19,6 +19,8 @@ pub enum SimError {
     ProcessFinished(usize),
     /// An arrival or departure time in the simulated past (or non-finite).
     InvalidTime(String),
+    /// A [`crate::SimConfig`] parameter out of range.
+    InvalidConfig(String),
     /// Physical memory exhausted while placing pages.
     OutOfMemory,
     /// A bounded run ended before the awaited process finished.
@@ -42,6 +44,7 @@ impl fmt::Display for SimError {
             SimError::InvalidWeights(s) => write!(f, "invalid weights: {s}"),
             SimError::ProcessFinished(p) => write!(f, "process {p} already finished"),
             SimError::InvalidTime(s) => write!(f, "invalid time: {s}"),
+            SimError::InvalidConfig(s) => write!(f, "invalid simulator config: {s}"),
             SimError::OutOfMemory => write!(f, "physical memory exhausted"),
             SimError::Timeout { pid, deadline } => {
                 write!(f, "process {pid} did not finish by simulated t={deadline}")

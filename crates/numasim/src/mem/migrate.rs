@@ -28,20 +28,6 @@ use bwap_topology::NodeId;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// One page move (the per-page interface of
-/// `Simulator::enqueue_moves`; contiguous moves coalesce into ranges).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PendingMove {
-    /// Segment the page belongs to.
-    pub segment: SegmentId,
-    /// Page index within the segment.
-    pub page: u64,
-    /// Current node.
-    pub from: NodeId,
-    /// Target node.
-    pub to: NodeId,
-}
-
 /// A periodic table of `(from, to)` move slots with the prefix sums that
 /// make "how many moved pages" and "where is the i-th moved page" O(1).
 /// A slot with `from == to` is a hole.

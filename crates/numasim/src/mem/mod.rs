@@ -9,6 +9,6 @@ pub mod segment;
 
 pub use address_space::AddressSpace;
 pub use frames::FramePools;
-pub use migrate::{MigrationQueue, MoveCycle, MovePattern, PendingMove, PendingRange};
+pub use migrate::{MigrationQueue, MoveCycle, MovePattern, PendingRange};
 pub use policy::MemPolicy;
 pub use segment::{Segment, SegmentId, SegmentKind};

@@ -359,7 +359,7 @@ mod tests {
     fn fleet_descriptors_resolve_the_arrival_schedule() {
         use crate::campaign::FleetAxis;
         use crate::fleet::{MachineKind, SchedulerKind};
-        let fleet_spec = |seed: u64, trace: Option<Vec<bwap_workloads::arrivals::ArrivalEvent>>| {
+        let fleet_spec = |seed: u64, trace: Option<Vec<crate::fleet::ArrivalEvent>>| {
             CampaignSpec::new("fleet-desc", machines::machine_b())
                 .workloads(vec![bwap_workloads::streamcluster().scaled_down(64.0)])
                 .policies(vec![PlacementPolicy::UniformWorkers])
@@ -383,7 +383,7 @@ mod tests {
         assert!(da.text().contains("job0.at_s="));
         // Trace-driven fleets: the schedule is explicit, the seed is
         // inert — different root seeds share one descriptor.
-        let trace = vec![bwap_workloads::arrivals::ArrivalEvent {
+        let trace = vec![crate::fleet::ArrivalEvent {
             at_s: 0.5,
             workload: bwap_workloads::streamcluster().scaled_down(64.0),
             depart_s: None,

@@ -47,12 +47,11 @@ pub use report::{results_dir, CampaignReport, CellRecord, NodeTierRecord, SCHEMA
 use crate::baselines::PlacementPolicy;
 use crate::error::RuntimeError;
 use crate::fleet::{
-    jobs_from_trace, poisson_jobs, run_fleet, FleetConfig, MachineKind, SchedulerKind,
+    jobs_from_trace, poisson_jobs, run_fleet, ArrivalEvent, FleetConfig, MachineKind, SchedulerKind,
 };
 use crate::scenario::{run_scenario, Measured, RunResult};
 use bwap::derive_seed;
 use bwap_topology::MachineTopology;
-use bwap_workloads::arrivals::ArrivalEvent;
 use bwap_workloads::{PhasedWorkload, WorkloadSpec};
 use numasim::{EngineMode, SimConfig, TraceSink};
 use std::path::{Path, PathBuf};

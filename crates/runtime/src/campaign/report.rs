@@ -150,8 +150,7 @@ impl CampaignReport {
     ///
     /// The phase-period axis is *not* a coordinate here: in a campaign
     /// sweeping several phase periods this returns the first matching
-    /// cell in enumeration order (the lowest-indexed period point) —
-    /// disambiguate with [`CampaignReport::find_phased`].
+    /// cell in enumeration order (the lowest-indexed period point).
     pub fn find(
         &self,
         workload: &str,
@@ -167,33 +166,6 @@ impl CampaignReport {
                 && c.workers == workers
                 && c.static_dwp == static_dwp
         })
-    }
-
-    /// [`CampaignReport::find`] with the phase-period coordinate pinned
-    /// (for phased-workload campaigns sweeping several periods; like
-    /// `static_dwp`, the value must match the spec's axis point exactly).
-    pub fn find_phased(
-        &self,
-        workload: &str,
-        policy: &str,
-        scenario: ScenarioKind,
-        workers: usize,
-        static_dwp: Option<f64>,
-        phase_period: Option<f64>,
-    ) -> Option<&CellRecord> {
-        self.cells.iter().find(|c| {
-            c.workload == workload
-                && c.policy == policy
-                && c.scenario == scenario
-                && c.workers == workers
-                && c.static_dwp == static_dwp
-                && c.phase_period == phase_period
-        })
-    }
-
-    /// Iterate over the cells that completed, with their results.
-    pub fn ok_results(&self) -> impl Iterator<Item = (&CellRecord, &RunResult)> {
-        self.cells.iter().filter_map(|c| c.result().map(|r| (c, r)))
     }
 
     /// Full JSON artifact, including volatile provenance fields.
@@ -728,24 +700,6 @@ mod tests {
         assert!(r.find("SC", "bwap", ScenarioKind::Standalone, 1, None).is_some());
         assert!(r.find("SC", "bwap", ScenarioKind::Coscheduled, 1, None).is_none());
         assert!(r.find("SC", "bwap", ScenarioKind::Standalone, 1, Some(0.5)).is_none());
-        assert_eq!(r.ok_results().count(), 1);
-    }
-
-    #[test]
-    fn find_phased_pins_the_period_coordinate() {
-        let mut a = record(0, Ok(result()));
-        a.phase_period = Some(12.0);
-        let mut b = record(1, Ok(result()));
-        b.phase_period = Some(36.0);
-        let r = report(vec![a, b]);
-        // Plain find is first-match across the period axis...
-        assert_eq!(r.find("SC", "bwap", ScenarioKind::Standalone, 1, None).unwrap().id, 0);
-        // ...find_phased disambiguates.
-        let hit = r.find_phased("SC", "bwap", ScenarioKind::Standalone, 1, None, Some(36.0));
-        assert_eq!(hit.unwrap().id, 1);
-        assert!(r
-            .find_phased("SC", "bwap", ScenarioKind::Standalone, 1, None, Some(9.0))
-            .is_none());
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! * a **fleet** of [`MachineTopology`]s, mixable between the symmetric
 //!   machine B and the tiered expander config ([`MachineKind`]);
 //! * an **arrival stream**: seeded rate-driven Poisson ([`poisson_jobs`])
-//!   over a workload catalog, or an explicit JSON arrival trace
-//!   ([`bwap_workloads::arrivals`]) via [`jobs_from_trace`];
+//!   over a workload catalog, or an explicit list of [`ArrivalEvent`]s
+//!   via [`jobs_from_trace`];
 //! * pluggable **cluster schedulers** ([`SchedulerKind`]): round-robin,
 //!   least-loaded-bandwidth, and tier-aware;
 //! * deterministic **tail metrics**: per-job slowdown-vs-solo samples and
@@ -31,7 +31,6 @@ use crate::baselines::PlacementPolicy;
 use crate::error::RuntimeError;
 use crate::scenario::{launch_measured, run_scenario, traffic_counters, Measured, MAX_SIM_S};
 use bwap_topology::{machines, MachineTopology, NodeSet};
-use bwap_workloads::arrivals::ArrivalEvent;
 use bwap_workloads::WorkloadSpec;
 use numasim::{ProcessId, SimConfig, Simulator, TraceSink};
 use std::collections::HashMap;
@@ -239,8 +238,21 @@ pub fn poisson_jobs(
         .collect()
 }
 
-/// Convert a parsed JSON arrival trace into fleet jobs (already sorted by
-/// arrival time by the parser).
+/// One job of an explicit arrival trace ([`crate::FleetAxis::trace`]): a
+/// workload landing at a simulated time, optionally forced to depart
+/// later.
+#[derive(Debug, Clone)]
+pub struct ArrivalEvent {
+    /// Simulated arrival time, seconds (finite, non-negative).
+    pub at_s: f64,
+    /// The workload the job runs.
+    pub workload: WorkloadSpec,
+    /// Forced departure time, strictly after `at_s`, if any.
+    pub depart_s: Option<f64>,
+}
+
+/// Convert an arrival trace into fleet jobs, in the trace's order
+/// ([`run_fleet`] submits them by arrival time and checks their times).
 pub fn jobs_from_trace(events: &[ArrivalEvent]) -> Vec<FleetJob> {
     events
         .iter()
@@ -288,10 +300,14 @@ fn load_of(sim: &Simulator) -> f64 {
     sim.controller_utilization().iter().sum()
 }
 
-/// Run an open-loop job stream over a fleet. Jobs are submitted in
-/// arrival-time order (stable for ties); for each job every machine is
-/// advanced to the arrival's epoch, the scheduler picks a machine from
-/// the fleet's current load, and the job is registered with
+/// Run an open-loop job stream over a fleet. Every job must arrive at a
+/// finite, non-negative time and depart (if at all) at a finite time
+/// after it arrives; otherwise the run is a [`RuntimeError::Scenario`]
+/// naming the first offending job (an invalid `cfg.sim_cfg` is an error
+/// too). Jobs are submitted in arrival-time order (stable for ties); for
+/// each job every machine is advanced to the arrival's epoch, the
+/// scheduler picks a machine from the fleet's current load, and the job
+/// is registered with
 /// [`numasim::Simulator::spawn_at`] — the engine activates it exactly at
 /// its (possibly mid-epoch) arrival time. After the last arrival, every
 /// machine runs until all of its jobs have finished or departed.
@@ -309,6 +325,21 @@ pub fn run_fleet(
     if cfg.machines.is_empty() {
         return Err(RuntimeError::Scenario("fleet has no machines".into()));
     }
+    cfg.sim_cfg.validate()?;
+    for (i, job) in jobs.iter().enumerate() {
+        if !(job.at_s.is_finite() && job.at_s >= 0.0) {
+            return Err(RuntimeError::Scenario(format!(
+                "job {i}: arrival time {} must be finite and >= 0",
+                job.at_s
+            )));
+        }
+        if let Some(d) = job.depart_s.filter(|&d| !(d.is_finite() && d > job.at_s)) {
+            return Err(RuntimeError::Scenario(format!(
+                "job {i}: departure time {d} must be finite and after its arrival at {}",
+                job.at_s
+            )));
+        }
+    }
     for m in &cfg.machines {
         if cfg.workers == 0 || cfg.workers > m.worker_node_count() {
             return Err(RuntimeError::Scenario(format!(
@@ -320,7 +351,7 @@ pub fn run_fleet(
         }
     }
     let mut order: Vec<usize> = (0..jobs.len()).collect();
-    order.sort_by(|&a, &b| jobs[a].at_s.partial_cmp(&jobs[b].at_s).expect("finite arrivals"));
+    order.sort_by(|&a, &b| jobs[a].at_s.partial_cmp(&jobs[b].at_s).expect("checked arrivals"));
 
     let mut sims: Vec<Simulator> =
         cfg.machines.iter().map(|m| Simulator::new(m.clone(), cfg.sim_cfg.clone())).collect();
@@ -615,6 +646,25 @@ mod tests {
             .expect("sparse stream places every job");
         assert_eq!(stepped.jobs.len(), 8);
         assert_eq!(stepped.makespan_s.to_bits(), event.makespan_s.to_bits());
+    }
+
+    #[test]
+    fn bad_arrival_and_departure_times_are_errors_not_panics() {
+        let cfg = small_cfg(SchedulerKind::RoundRobin);
+        let w = bwap_workloads::streamcluster().scaled_down(64.0);
+        let jobs = [FleetJob::new(0.0, w.clone()), FleetJob::new(f64::NAN, w.clone())];
+        let err = run_fleet(&cfg, &jobs, None).unwrap_err().to_string();
+        assert!(err.contains("job 1: arrival time NaN"), "{err}");
+        for at in [-1.0, f64::INFINITY] {
+            let err = run_fleet(&cfg, &[FleetJob::new(at, w.clone())], None).unwrap_err();
+            assert!(err.to_string().contains("job 0: arrival time"), "{err}");
+        }
+        for depart in [1.0, 0.5, f64::NAN, f64::INFINITY] {
+            let mut job = FleetJob::new(1.0, w.clone());
+            job.depart_s = Some(depart);
+            let err = run_fleet(&cfg, &[job], None).unwrap_err();
+            assert!(err.to_string().contains("job 0: departure time"), "{err}");
+        }
     }
 
     #[test]

@@ -63,8 +63,7 @@ pub use fleet::{
 pub use numasim::EngineMode;
 pub use profiling::{profile_bandwidth, ProfileBook};
 pub use scenario::{
-    run_coscheduled, run_coscheduled_phased, run_standalone, run_standalone_phased,
-    run_standalone_traced, RunResult,
+    run_coscheduled, run_standalone, run_standalone_phased, run_standalone_traced, RunResult,
 };
 
 /// Static-DWP sweeps (paper Fig. 4) have no runner of their own: a sweep

@@ -8,11 +8,11 @@
 //!   degrade A.
 //!
 //! Both scenarios also run **phase-structured** workloads
-//! ([`bwap_workloads::PhasedWorkload`]): [`run_standalone_phased`] /
-//! [`run_coscheduled_phased`] install the workload's cycling demand
-//! timeline on the measured process, so the engine swaps its profile at
-//! every phase boundary — the setting the adaptive BWAP daemon
-//! ([`PlacementPolicy::AdaptiveBwap`]) exists for.
+//! ([`bwap_workloads::PhasedWorkload`]): [`run_standalone_phased`] and
+//! campaign cells over [`crate::CampaignSpec::phased_workloads`] install
+//! the workload's cycling demand timeline on the measured process, so the
+//! engine swaps its profile at every phase boundary — the setting the
+//! adaptive BWAP daemon ([`PlacementPolicy::AdaptiveBwap`]) exists for.
 
 use crate::adaptive::AdaptiveBwapDaemon;
 use crate::baselines::PlacementPolicy;
@@ -254,20 +254,6 @@ pub fn run_coscheduled(
     run_scenario(machine, app, workers, policy, SimConfig::default(), true, None)
 }
 
-/// Co-scheduled scenario with a phase-structured B. See
-/// [`run_standalone_phased`] for `phase_period`.
-pub fn run_coscheduled_phased(
-    machine: &MachineTopology,
-    phased: &PhasedWorkload,
-    workers: NodeSet,
-    policy: &PlacementPolicy,
-    sim_cfg: SimConfig,
-    phase_period: Option<f64>,
-) -> Result<RunResult, RuntimeError> {
-    let app = Measured::phased(phased, machine, phase_period);
-    run_scenario(machine, app, workers, policy, sim_cfg, true, None)
-}
-
 /// The measured application of a scenario run: the spec that defines its
 /// memory layout, the phase timeline that drives its demand (`None` for a
 /// plain workload), and the workload name its result carries.
@@ -308,7 +294,7 @@ impl<'a> Measured<'a> {
 /// whole run and is stored into the slot afterwards. It is installed
 /// before anything spawns, so spawn metadata lands in the trace; in the
 /// co-scheduled scenario it observes both A and B (each process gets its
-/// own track).
+/// own track). An invalid `sim_cfg` is an error, not a panic.
 pub(crate) fn run_scenario(
     machine: &MachineTopology,
     app: Measured<'_>,
@@ -318,6 +304,7 @@ pub(crate) fn run_scenario(
     coscheduled: bool,
     trace: Option<&mut Option<TraceSink>>,
 ) -> Result<RunResult, RuntimeError> {
+    sim_cfg.validate()?;
     // A runs on the worker-capable nodes B leaves free: CPU-less expander
     // nodes can never host A's threads (they stay pure memory donors).
     let workers_a = machine.worker_nodes().difference(workers);
@@ -480,8 +467,8 @@ mod tests {
             .unwrap();
         assert!(r.retunes.is_some());
         assert_eq!(r.retunes.unwrap() as usize, r.retune_times_s.as_ref().unwrap().len());
-        let err =
-            run_coscheduled_phased(&m, &flip, workers, &policy, SimConfig::default(), Some(2.0));
+        let app = Measured::phased(&flip, &m, Some(2.0));
+        let err = run_scenario(&m, app, workers, &policy, SimConfig::default(), true, None);
         assert!(err.unwrap_err().to_string().contains("stand-alone"), "cosched adaptive rejected");
     }
 
@@ -490,15 +477,9 @@ mod tests {
         let m = machines::machine_b();
         let workers = m.best_worker_set(1);
         let flip = bwap_workloads::sc_bandwidth_flip().scaled_down(32.0);
-        let r = run_coscheduled_phased(
-            &m,
-            &flip,
-            workers,
-            &PlacementPolicy::UniformWorkers,
-            SimConfig::default(),
-            Some(2.0),
-        )
-        .unwrap();
+        let app = Measured::phased(&flip, &m, Some(2.0));
+        let policy = PlacementPolicy::UniformWorkers;
+        let r = run_scenario(&m, app, workers, &policy, SimConfig::default(), true, None).unwrap();
         assert!(r.a_stall_frac.is_some());
         assert!(r.phase_switches.is_some());
     }

@@ -1,12 +1,12 @@
-//! A minimal, serde-free JSON reader shared by the data-file loaders.
+//! A minimal, serde-free JSON reader for the suite's own artifacts.
 //!
 //! The workspace is offline and dependency-free, so every tool that
-//! consumes JSON — the phase-trace loader ([`crate::trace`]), the
-//! campaign explorer and the Chrome-trace validator in `bwap-bench` —
-//! reads documents through this one recursive-descent parser instead of
-//! each shipping its own. The model is deliberately small: a [`Json`]
-//! value tree with typed accessors; schema-specific validation (missing
-//! fields, wrong types with helpful context) stays in the loaders.
+//! consumes JSON — the campaign explorer and the Chrome-trace validator
+//! in `bwap-bench` — reads documents through this one recursive-descent
+//! parser instead of each shipping its own. The model is deliberately
+//! small: a [`Json`] value tree with typed accessors; schema-specific
+//! validation (missing fields, wrong types with helpful context) stays
+//! in the tools.
 //!
 //! Numbers are parsed as `f64`, which is exact for the integer ranges
 //! the repo's artifacts use (timestamps, page counts, event ids all stay

@@ -18,10 +18,9 @@
 //!
 //! Applications whose access patterns *change over time* are modelled by
 //! [`PhasedWorkload`] — an ordered, cycling timeline of demand profiles
-//! ([`phased`]), loadable from a JSON phase-trace file ([`trace`]). The
-//! canned phase-flipping variants ([`phased::phased_suite`]) drive the
-//! adaptive re-tuning scenario (`fig_phases`). See `docs/WORKLOADS.md`
-//! for the full workload model.
+//! ([`phased`]). The canned phase-flipping variants
+//! ([`phased::phased_suite`]) drive the adaptive re-tuning scenario
+//! (`fig_phases`). See `docs/WORKLOADS.md` for the full workload model.
 //!
 //! # Examples
 //!
@@ -66,13 +65,11 @@
 //! ```
 
 pub mod apps;
-pub mod arrivals;
 pub mod generator;
 pub mod json;
 pub mod phased;
 pub mod spec;
 pub mod table1;
-pub mod trace;
 
 pub use apps::{
     by_name, capacity_suite, ft_c, ocean_cp, ocean_cp_xl, ocean_ncp, sp_b, stream_probe,
@@ -84,4 +81,3 @@ pub use phased::{
 };
 pub use spec::WorkloadSpec;
 pub use table1::{table1_reference, Table1Row};
-pub use trace::{load_phase_trace, parse_phase_trace, TraceError};

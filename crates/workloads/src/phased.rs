@@ -18,9 +18,6 @@
 //! phase is therefore expressed as a shift of traffic between the private
 //! and shared segments (see [`oc_footprint_swing`]), not as a resize.
 //!
-//! Phased workloads can also be loaded from a JSON phase-trace file — see
-//! [`crate::trace`] for the format and its validation errors.
-//!
 //! # Examples
 //!
 //! Build a two-phase bandwidth flip by hand and translate it for the

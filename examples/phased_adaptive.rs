@@ -14,8 +14,7 @@ fn main() {
 
     // The canned phase-flipping variant of Streamcluster (scaled ~8x so
     // the example finishes in a couple of seconds of wall time), cycled
-    // every 6 simulated seconds. See docs/WORKLOADS.md for the timeline
-    // and the JSON trace format behind it.
+    // every 6 simulated seconds. See docs/WORKLOADS.md for the timeline.
     let flip = workloads::sc_bandwidth_flip().scaled_down(8.0);
     println!(
         "workload: {} ({} phases per cycle, {} GB total)",

@@ -67,11 +67,11 @@ pub mod prelude {
         InterleaveMode, WeightDistribution,
     };
     pub use bwap_runtime::{
-        poisson_jobs, run_campaign, run_campaign_with, run_coscheduled, run_coscheduled_phased,
-        run_fleet, run_standalone, run_standalone_phased, run_standalone_traced,
-        AdaptiveBwapDaemon, AdaptiveConfig, BwapDaemon, CampaignConfig, CampaignReport,
-        CampaignSpec, CoschedDaemon, DwpPoint, FleetAxis, FleetConfig, FleetJob, FleetOutcome,
-        MachineKind, PlacementPolicy, ProfileBook, RunResult, ScenarioKind, SchedulerKind,
+        poisson_jobs, run_campaign, run_campaign_with, run_coscheduled, run_fleet, run_standalone,
+        run_standalone_phased, run_standalone_traced, AdaptiveBwapDaemon, AdaptiveConfig,
+        BwapDaemon, CampaignConfig, CampaignReport, CampaignSpec, CoschedDaemon, DwpPoint,
+        FleetAxis, FleetConfig, FleetJob, FleetOutcome, MachineKind, PlacementPolicy, ProfileBook,
+        RunResult, ScenarioKind, SchedulerKind,
     };
     pub use bwap_topology::{
         machines, MachineTopology, NodeId, NodeSet, NodeSpec, TopologyBuilder,

@@ -102,3 +102,35 @@ fn seeded_random_workload_campaign_is_reproducible() {
     assert_eq!(a.deterministic_json(), b.deterministic_json());
     assert!(a.cells[0].result().unwrap().exec_time_s > 0.0);
 }
+
+/// An out-of-range engine config is a typed error in every cell, naming
+/// the bad field — machine-local and fleet cells alike — never a panic
+/// inside `Simulator::new`.
+#[test]
+fn invalid_sim_config_gives_error_cells_not_panics() {
+    let bad = [
+        ("epoch_dt", SimConfig { epoch_dt: 0.0, ..SimConfig::default() }),
+        (
+            "write_amplification",
+            SimConfig {
+                ctrl_model: bwap_suite::fabric::ControllerModel { write_amplification: 0.5 },
+                ..SimConfig::default()
+            },
+        ),
+    ];
+    for (field, cfg) in bad {
+        let spec = small_spec().sim_cfg(cfg).fleet(FleetAxis {
+            machines: vec![MachineKind::B],
+            schedulers: vec![SchedulerKind::RoundRobin],
+            arrival_rates: vec![1.0],
+            jobs: 2,
+            trace: None,
+        });
+        let report = run_campaign(&spec);
+        assert!(report.cells.iter().any(|c| c.scenario == ScenarioKind::Fleet));
+        for c in &report.cells {
+            let err = c.outcome.as_ref().unwrap_err();
+            assert!(err.contains(field) && !err.contains("panicked"), "{}: {err}", c.key);
+        }
+    }
+}

@@ -145,3 +145,26 @@ fn poisson_arrivals_are_seeded_and_reproducible() {
         "different seeds draw different schedules"
     );
 }
+
+/// A NaN arrival rate slips past `poisson_jobs`' rate guard and stamps
+/// every job with a NaN arrival time. The fleet cell reports that as an
+/// error naming the job instead of panicking while sorting the stream.
+#[test]
+fn nan_arrival_rate_is_an_error_cell_not_a_panic() {
+    let spec = CampaignSpec::new("nan-rate", machines::machine_b())
+        .workloads(vec![workloads::streamcluster().scaled_down(64.0)])
+        .policies(vec![PlacementPolicy::UniformWorkers])
+        .scenarios(vec![])
+        .fleet(FleetAxis {
+            machines: vec![MachineKind::B],
+            schedulers: vec![SchedulerKind::RoundRobin],
+            arrival_rates: vec![f64::NAN],
+            jobs: 3,
+            trace: None,
+        });
+    let report = run_campaign(&spec);
+    assert_eq!(report.cells.len(), 1);
+    let err = report.cells[0].outcome.as_ref().unwrap_err();
+    assert!(err.contains("job 0: arrival time NaN"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
