@@ -16,6 +16,12 @@ use bwap_runtime::{
 use bwap_topology::{machines, MachineTopology};
 use bwap_workloads::{PhasedWorkload, WorkloadSpec};
 
+/// The largest `--fleet-jobs` accepted: 625x the longest stream a canned
+/// spec runs (16 jobs), and about 2.3 MB of arrival schedule per cell
+/// descriptor. Every cell's schedule is built before any cell runs, so an
+/// unbounded count could exhaust memory up front.
+const MAX_FLEET_JOBS: usize = 10_000;
+
 /// The spec-defining subset of the campaign CLI, in textual form.
 /// Executor knobs (threads, trace/cache/output directories, dedup, fault
 /// plans) are deliberately *not* here: they never change results.
@@ -48,8 +54,8 @@ pub struct SpecArgs {
     /// `--arrival-rates` (comma list of jobs/s), empty = `1`. Requires
     /// `--fleet`.
     pub arrival_rates: String,
-    /// `--fleet-jobs` (jobs per Poisson stream), empty = `8`. Requires
-    /// `--fleet`.
+    /// `--fleet-jobs` (jobs per Poisson stream, at most 10,000), empty =
+    /// `8`. Requires `--fleet`.
     pub fleet_jobs: String,
     /// `--seed`.
     pub seed: u64,
@@ -212,10 +218,10 @@ impl SpecArgs {
             8
         } else {
             match self.fleet_jobs.parse::<usize>() {
-                Ok(n) if n > 0 => n,
+                Ok(n) if (1..=MAX_FLEET_JOBS).contains(&n) => n,
                 _ => {
                     return Err(format!(
-                        "bad --fleet-jobs {:?} (expected a positive count)",
+                        "bad --fleet-jobs {:?} (expected a count from 1 to {MAX_FLEET_JOBS})",
                         self.fleet_jobs
                     ))
                 }

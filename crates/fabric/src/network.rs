@@ -60,7 +60,11 @@ pub struct GroupOutcome {
 /// rebuild it every epoch without allocating. Groups are appended either
 /// wholesale ([`DemandSet::push`]) or incrementally
 /// ([`DemandSet::begin_group`] + [`DemandSet::add_flow`]).
-#[derive(Debug, Clone, Default)]
+///
+/// [`DemandSet::bitwise_eq`] compares two sets bit for bit, and
+/// `clone_from` copies one into another's existing buffers: the epoch loop
+/// uses both to reuse the solve of a repeated demand set.
+#[derive(Debug, Default)]
 pub struct DemandSet {
     headers: Vec<GroupHeader>,
     flows: Vec<FlowDemand>,
@@ -76,9 +80,21 @@ struct GroupHeader {
     flows_end: usize,
 }
 
+impl Clone for DemandSet {
+    fn clone(&self) -> Self {
+        DemandSet { headers: self.headers.clone(), flows: self.flows.clone() }
+    }
+
+    /// Copies into `self`'s existing buffers.
+    fn clone_from(&mut self, src: &Self) {
+        self.headers.clone_from(&src.headers);
+        self.flows.clone_from(&src.flows);
+    }
+}
+
 /// Solver result: per-group outcomes plus the raw allocation for resource
 /// utilization diagnostics.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct SolveResult {
     /// One outcome per input group, same order.
     pub outcomes: Vec<GroupOutcome>,
@@ -86,7 +102,37 @@ pub struct SolveResult {
     pub allocation: Allocation,
 }
 
+impl Clone for SolveResult {
+    fn clone(&self) -> Self {
+        SolveResult { outcomes: self.outcomes.clone(), allocation: self.allocation.clone() }
+    }
+
+    /// Copies into `self`'s existing buffers.
+    fn clone_from(&mut self, src: &Self) {
+        self.outcomes.clone_from(&src.outcomes);
+        self.allocation.clone_from(&src.allocation);
+    }
+}
+
 impl SolveResult {
+    /// Whether `self` and `other` hold the same bits (floats compare by
+    /// `to_bits`, so `-0.0 != 0.0`).
+    pub fn bitwise_eq(&self, other: &SolveResult) -> bool {
+        let bits_eq = |a: &[f64], b: &[f64]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        let (a, b) = (&self.allocation, &other.allocation);
+        self.outcomes.len() == other.outcomes.len()
+            && self.outcomes.iter().zip(&other.outcomes).all(|(x, y)| {
+                x.id == y.id
+                    && x.activity.to_bits() == y.activity.to_bits()
+                    && x.binding == y.binding
+            })
+            && bits_eq(&a.activity, &b.activity)
+            && a.binding == b.binding
+            && bits_eq(&a.used, &b.used)
+    }
+
     /// The directed per-link bandwidth shares this solve granted, in
     /// GB/s: `(link, direction, share)` for every link direction of the
     /// `resources` table the solve ran against, in dense resource order.
@@ -157,6 +203,28 @@ impl DemandSet {
         for f in g.flows {
             self.add_flow(f);
         }
+    }
+
+    /// Whether `self` and `other` hold the same groups and flows, bit for
+    /// bit (floats compare by `to_bits`, so `-0.0 != 0.0`). Equal sets
+    /// solve to bitwise-equal results on the same machine.
+    pub fn bitwise_eq(&self, other: &DemandSet) -> bool {
+        let header_eq = |a: &GroupHeader, b: &GroupHeader| {
+            a.id == b.id
+                && a.weight.to_bits() == b.weight.to_bits()
+                && a.cap.to_bits() == b.cap.to_bits()
+                && a.flows_end == b.flows_end
+        };
+        let flow_eq = |a: &FlowDemand, b: &FlowDemand| {
+            a.mem == b.mem
+                && a.cpu == b.cpu
+                && a.read_gbps.to_bits() == b.read_gbps.to_bits()
+                && a.write_gbps.to_bits() == b.write_gbps.to_bits()
+        };
+        self.headers.len() == other.headers.len()
+            && self.flows.len() == other.flows.len()
+            && self.headers.iter().zip(&other.headers).all(|(a, b)| header_eq(a, b))
+            && self.flows.iter().zip(&other.flows).all(|(a, b)| flow_eq(a, b))
     }
 
     fn group_flows(&self, i: usize) -> &[FlowDemand] {

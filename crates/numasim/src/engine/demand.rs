@@ -51,18 +51,18 @@ pub(crate) struct GroupMeta {
     pub share_off: usize,
 }
 
-/// Reusable buffers for demand building — the epoch loop's per-process
-/// distributions and the flat arena every group's traffic-share vector
-/// lives in. Cleared (`clear_epoch`) once per epoch, never reallocated in
-/// steady state.
+/// Reusable buffers for demand building: each process's page
+/// distributions, kept between epochs; the epoch's loaded-latency
+/// inflation per node; and the flat arena every group's traffic-share
+/// vector lives in. Never reallocated in steady state.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DemandScratch {
-    /// Scratch: shared-segment distribution of the current process.
-    shared_dist: Vec<f64>,
-    /// Scratch: private-page distribution of one worker node's threads.
-    priv_dist: Vec<f64>,
+    /// Page distributions per process, indexed by pid.
+    dists: Vec<PageDists>,
     /// Scratch: one segment's distribution.
     seg_dist: Vec<f64>,
+    /// Loaded-latency inflation per memory node for this epoch.
+    inflation: Vec<f64>,
     /// Scratch: active memory-node indices (open-loop bundle split).
     active: Vec<usize>,
     /// Arena of per-group share vectors; [`GroupMeta::share_off`] indexes
@@ -71,10 +71,86 @@ pub(crate) struct DemandScratch {
 }
 
 impl DemandScratch {
-    /// Reset the arena for a new epoch (scratch vectors are overwritten in
-    /// place by the builders).
-    pub fn clear_epoch(&mut self) {
+    /// Start an epoch over `procs` processes: reset the share arena and
+    /// evaluate each node's latency inflation once, from the controller
+    /// utilization `ctrl_util` of the previous epoch and the `(a, b)`
+    /// parameters `lat_infl`.
+    pub fn begin_epoch(&mut self, ctrl_util: &[f64], lat_infl: (f64, f64), procs: usize) {
         self.share_arena.clear();
+        self.inflation.clear();
+        self.inflation
+            .extend(ctrl_util.iter().map(|&u| latency_inflation(u, lat_infl.0, lat_infl.1)));
+        self.dists.resize_with(procs, PageDists::default);
+    }
+
+    /// Pages of `pid` landed on new nodes: recompute its distributions
+    /// before its next demand build.
+    pub fn pages_moved(&mut self, pid: ProcessId) {
+        self.dists[pid.0].valid = false;
+    }
+}
+
+/// One process's page distributions, as fractions per memory node. A
+/// segment's pages change nodes only when a migration lands, so these stay
+/// valid from one landing to the next.
+#[derive(Debug, Clone, Default)]
+struct PageDists {
+    /// Whether the fractions match the page tables (false for a new
+    /// process and after pages of it land).
+    valid: bool,
+    /// Shared-segment fractions.
+    shared: Vec<f64>,
+    /// `n` fractions per worker node: the mean over the private segments
+    /// of that node's threads (zeros for a node without threads).
+    private: Vec<f64>,
+}
+
+impl PageDists {
+    /// Recompute from `proc_`'s page tables.
+    fn refresh(&mut self, proc_: &SimProcess, n: usize, seg_dist: &mut Vec<f64>) {
+        self.shared.resize(n, 0.0);
+        proc_
+            .aspace
+            .segment(proc_.shared_seg)
+            .expect("shared segment exists")
+            .fill_distribution(&mut self.shared);
+        self.private.clear();
+        self.private.resize(n * n, 0.0);
+        seg_dist.resize(n, 0.0);
+        for w in 0..n {
+            if proc_.threads_per_node[w] == 0 {
+                continue;
+            }
+            let priv_dist = &mut self.private[w * n..(w + 1) * n];
+            let mut priv_segs = 0usize;
+            for &(owner, seg) in &proc_.private_segs {
+                if owner.idx() == w {
+                    proc_
+                        .aspace
+                        .segment(seg)
+                        .expect("private segment exists")
+                        .fill_distribution(seg_dist);
+                    for (v, &d) in priv_dist.iter_mut().zip(seg_dist.iter()) {
+                        *v += d;
+                    }
+                    priv_segs += 1;
+                }
+            }
+            if priv_segs > 0 {
+                for v in priv_dist {
+                    *v /= priv_segs as f64;
+                }
+            }
+        }
+        self.valid = true;
+    }
+
+    /// Whether a fresh [`PageDists::refresh`] would give the same bits.
+    fn is_fresh(&self, proc_: &SimProcess, n: usize) -> bool {
+        let mut fresh = PageDists::default();
+        fresh.refresh(proc_, n, &mut Vec::new());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        bits(&self.shared) == bits(&fresh.shared) && bits(&self.private) == bits(&fresh.private)
     }
 }
 
@@ -103,16 +179,12 @@ pub(crate) fn latency_inflation(rho: f64, a: f64, b: f64) -> f64 {
 
 /// Build the demand groups for one running process, appending fabric
 /// groups to `ds` and `(pid, meta)` records to `metas` (parallel, same
-/// order). `ctrl_util` is each node controller's utilization in the
-/// previous epoch (for loaded latency); `lat_infl` the `(a, b)` inflation
-/// parameters. All working memory comes from `ws` — nothing is allocated
-/// in steady state.
-#[allow(clippy::too_many_arguments)]
+/// order). Latencies are inflated by the loads `ws` was given at
+/// [`DemandScratch::begin_epoch`]. All working memory comes from `ws` —
+/// nothing is allocated in steady state.
 pub(crate) fn build_app_groups(
     proc_: &SimProcess,
     machine: &MachineTopology,
-    ctrl_util: &[f64],
-    lat_infl: (f64, f64),
     make_id: impl Fn(usize) -> u64,
     ds: &mut DemandSet,
     metas: &mut Vec<(ProcessId, GroupMeta)>,
@@ -120,12 +192,13 @@ pub(crate) fn build_app_groups(
 ) {
     let n = machine.node_count();
     let profile = &proc_.profile;
-    ws.shared_dist.resize(n, 0.0);
-    proc_
-        .aspace
-        .segment(proc_.shared_seg)
-        .expect("shared segment exists")
-        .fill_distribution(&mut ws.shared_dist);
+    let dists = &mut ws.dists[proc_.id.0];
+    if dists.valid {
+        debug_assert!(dists.is_fresh(proc_, n), "stale page distributions for {:?}", proc_.id);
+    } else {
+        dists.refresh(proc_, n, &mut ws.seg_dist);
+    }
+    let dists = &ws.dists[proc_.id.0];
     let total_threads = proc_.total_threads();
     let eff = parallel_efficiency(profile, total_threads, proc_.worker_count());
     let d0_thread = profile.read_gbps_per_thread + profile.write_gbps_per_thread;
@@ -135,41 +208,18 @@ pub(crate) fn build_app_groups(
         if t_w == 0 {
             continue;
         }
-        // Private-page distribution of this node's threads.
-        ws.priv_dist.clear();
-        ws.priv_dist.resize(n, 0.0);
-        let mut priv_segs = 0usize;
-        for &(owner, seg) in &proc_.private_segs {
-            if owner.idx() == w {
-                ws.seg_dist.resize(n, 0.0);
-                proc_
-                    .aspace
-                    .segment(seg)
-                    .expect("private segment exists")
-                    .fill_distribution(&mut ws.seg_dist);
-                for i in 0..n {
-                    ws.priv_dist[i] += ws.seg_dist[i];
-                }
-                priv_segs += 1;
-            }
-        }
-        if priv_segs > 0 {
-            for v in &mut ws.priv_dist {
-                *v /= priv_segs as f64;
-            }
-        }
         let p = profile.private_frac;
+        let priv_dist = &dists.private[w * n..(w + 1) * n];
         let share_off = ws.share_arena.len();
-        for i in 0..n {
-            ws.share_arena.push(p * ws.priv_dist[i] + (1.0 - p) * ws.shared_dist[i]);
-        }
+        ws.share_arena
+            .extend(priv_dist.iter().zip(&dists.shared).map(|(&pv, &sh)| p * pv + (1.0 - p) * sh));
         // Average access latency seen from node w, inflated by queueing
         // delay at loaded controllers.
         let lat_w: f64 = (0..n)
             .map(|i| {
                 ws.share_arena[share_off + i]
                     * machine.latency_ns().get(NodeId(i as u16), NodeId(w as u16))
-                    * latency_inflation(ctrl_util[i], lat_infl.0, lat_infl.1)
+                    * ws.inflation[i]
             })
             .sum();
         let alpha = profile.latency_sensitivity;

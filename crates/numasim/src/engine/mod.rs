@@ -8,7 +8,8 @@
 //! 2. adds rate-limited migration traffic for pending page moves;
 //! 3. lets `bwap-fabric` allocate bandwidth (weighted demand-bounded
 //!    max-min over the machine's controllers, links, path caps and ingress
-//!    limits);
+//!    limits), or reuses the stored allocation when the demand set repeats
+//!    one of the last two solved, bit for bit;
 //! 4. advances progress, accounts stall cycles and per-flow counters, and
 //!    completes migrations;
 //! 5. fires due daemons (AutoNUMA, tuners, monitors).
@@ -191,6 +192,57 @@ struct MigAttempt {
     pages: usize,
 }
 
+/// Exact work counts of one [`Simulator`], deterministic for a given
+/// scenario, so tests can pin them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// Full epochs: calls to [`Simulator::step`], including the one that
+    /// opens each event-driven stride.
+    pub full_epochs: u64,
+    /// Max-min solves run. A full epoch whose demand set repeats a stored
+    /// one reuses its result and runs none. Debug builds re-solve every
+    /// reuse to check it; those solves are not counted.
+    pub solves: u64,
+}
+
+/// Stored solves: the loaded-latency feedback settles into period-1 and
+/// period-2 orbits, so most full epochs repeat one of the last two demand
+/// sets bit for bit.
+const SOLVE_MEMO_SLOTS: usize = 2;
+
+/// The last [`SOLVE_MEMO_SLOTS`] distinct `(demand set, solve result)`
+/// pairs. A solve reads only the demand set and what never changes after
+/// [`Simulator::new`] (machine, resource table, controller model), so a
+/// bitwise-equal demand set has a bitwise-equal result.
+#[derive(Default)]
+struct SolveMemo {
+    slots: Vec<(DemandSet, SolveResult)>,
+    /// Slot of the latest hit or store; the other one is evicted next.
+    newest: usize,
+}
+
+impl SolveMemo {
+    /// The stored result for a demand set bitwise equal to `ds`.
+    fn lookup(&mut self, ds: &DemandSet) -> Option<&SolveResult> {
+        let i = self.slots.iter().position(|(d, _)| d.bitwise_eq(ds))?;
+        self.newest = i;
+        Some(&self.slots[i].1)
+    }
+
+    /// Keep a fresh solve in place of the least recently used pair.
+    fn store(&mut self, ds: &DemandSet, solved: &SolveResult) {
+        if self.slots.len() < SOLVE_MEMO_SLOTS {
+            self.newest = self.slots.len();
+            self.slots.push((ds.clone(), solved.clone()));
+        } else {
+            self.newest = (self.newest + 1) % SOLVE_MEMO_SLOTS;
+            let (d, s) = &mut self.slots[self.newest];
+            d.clone_from(ds);
+            s.clone_from(solved);
+        }
+    }
+}
+
 /// The epoch loop's persistent workspace: every buffer `step` needs,
 /// allocated once and reused — in steady state an epoch performs no heap
 /// allocation at all (see `docs/PERFORMANCE.md`).
@@ -202,9 +254,12 @@ struct StepScratch {
     solve_ws: SolveScratch,
     /// Solver output, reused.
     solved: SolveResult,
+    /// Recent solves, reused when a demand set repeats.
+    memo: SolveMemo,
     /// `(pid, meta)` per application group, parallel to `ds`'s app groups.
     app_meta: Vec<(ProcessId, demand::GroupMeta)>,
-    /// Demand-building buffers (distributions, share arena).
+    /// Demand-building buffers (cached page distributions, latency
+    /// inflation, share arena).
     demand_ws: demand::DemandScratch,
     /// Per-process `(group index, activity)` lists.
     per_proc: Vec<Vec<(usize, f64)>>,
@@ -281,6 +336,8 @@ pub struct Simulator {
     quiescent: bool,
     /// Reused epoch-loop buffers.
     scratch: StepScratch,
+    /// Work counts so far.
+    stats: EngineStats,
     /// Structured run tracing; `None` (the default) makes every hook a
     /// single branch and keeps the epoch loop allocation-free.
     trace: Option<TraceSink>,
@@ -328,6 +385,7 @@ impl Simulator {
             util_prev: vec![0.0; n],
             quiescent: false,
             scratch: StepScratch::default(),
+            stats: EngineStats::default(),
             trace: None,
         }
     }
@@ -404,6 +462,11 @@ impl Simulator {
     /// Engine configuration.
     pub fn config(&self) -> &SimConfig {
         &self.cfg
+    }
+
+    /// Work counts so far: full epochs and max-min solves.
+    pub fn engine_stats(&self) -> EngineStats {
+        self.stats
     }
 
     /// Launch a process: pin `threads_per_node` threads (default: every
@@ -790,6 +853,7 @@ impl Simulator {
 
     /// Advance one epoch.
     pub fn step(&mut self) {
+        self.stats.full_epochs += 1;
         let dt = self.cfg.epoch_dt;
         let n = self.machine.node_count();
         let epoch_ts = trace::ts_us(self.clock);
@@ -833,7 +897,11 @@ impl Simulator {
         // 1-2. Assemble demand into the reused workspace.
         scratch.ds.clear();
         scratch.app_meta.clear();
-        scratch.demand_ws.clear_epoch();
+        scratch.demand_ws.begin_epoch(
+            &self.ctrl_util,
+            self.cfg.latency_inflation,
+            self.procs.len(),
+        );
         for p in &self.procs {
             if !p.is_running() {
                 continue;
@@ -842,8 +910,6 @@ impl Simulator {
             demand::build_app_groups(
                 p,
                 &self.machine,
-                &self.ctrl_util,
-                self.cfg.latency_inflation,
                 |w| (pid.0 as u64) << 16 | w as u64,
                 &mut scratch.ds,
                 &mut scratch.app_meta,
@@ -901,14 +967,28 @@ impl Simulator {
             }
         }
 
-        // 3. Allocate bandwidth.
-        scratch.ds.solve_into(
-            &self.machine,
-            &self.resources,
-            &self.cfg.ctrl_model,
-            &mut scratch.solve_ws,
-            &mut scratch.solved,
-        );
+        // 3. Allocate bandwidth, reusing the stored result when the demand
+        // set repeats one solved before.
+        if let Some(stored) = scratch.memo.lookup(&scratch.ds) {
+            scratch.solved.clone_from(stored);
+            debug_assert!(
+                scratch
+                    .ds
+                    .solve(&self.machine, &self.resources, &self.cfg.ctrl_model)
+                    .bitwise_eq(&scratch.solved),
+                "a reused solve differs from a fresh one"
+            );
+        } else {
+            scratch.ds.solve_into(
+                &self.machine,
+                &self.resources,
+                &self.cfg.ctrl_model,
+                &mut scratch.solve_ws,
+                &mut scratch.solved,
+            );
+            scratch.memo.store(&scratch.ds, &scratch.solved);
+            self.stats.solves += 1;
+        }
         self.util_prev.clear();
         self.util_prev.extend_from_slice(&self.ctrl_util);
         for i in 0..n {
@@ -948,9 +1028,10 @@ impl Simulator {
                 continue;
             }
             self.procs[pid.0].migration_credit -= done as f64;
-            let StepScratch { completed, pairs, .. } = &mut *scratch;
+            let StepScratch { completed, pairs, demand_ws, .. } = &mut *scratch;
             completed.clear();
             self.procs[pid.0].migrations.complete_into(done, completed);
+            demand_ws.pages_moved(pid);
             // Pages land against the live page table (a later mbind or
             // AutoNUMA may have moved them since they were queued) and
             // frame pools; the landed pages are counted once per pair.

@@ -55,7 +55,7 @@ pub mod process;
 pub mod trace;
 
 pub use daemon::Daemon;
-pub use engine::{AppProfile, EngineMode, SimConfig, Simulator};
+pub use engine::{AppProfile, EngineMode, EngineStats, SimConfig, Simulator};
 pub use error::SimError;
 pub use mem::policy::MemPolicy;
 pub use mem::segment::{SegmentId, SegmentKind};

@@ -20,7 +20,9 @@
 
 use bwap_topology::MachineTopology;
 use numasim::trace::{ArgValue, EventPhase, TraceEvent};
-use numasim::{Daemon, EngineMode, ProcessId, ProcessState, SimConfig, Simulator, TraceSink};
+use numasim::{
+    Daemon, EngineMode, EngineStats, ProcessId, ProcessState, SimConfig, Simulator, TraceSink,
+};
 use std::collections::VecDeque;
 
 /// How a scenario drives the simulator after setup.
@@ -81,6 +83,9 @@ pub struct RunLog {
     pub epoch_slices: usize,
     /// `stride` B slices in the trace (event-driven only).
     pub stride_slices: usize,
+    /// The engine's own work counts at the end of the run.
+    #[allow(dead_code)] // not every test binary reads them
+    pub stats: EngineStats,
 }
 
 fn bits(v: f64) -> String {
@@ -206,7 +211,7 @@ where
         }
         pid_idx += 1;
     }
-    RunLog { events, counters, state, epoch_slices, stride_slices }
+    RunLog { events, counters, state, epoch_slices, stride_slices, stats: sim.engine_stats() }
 }
 
 fn compare(scenario: &str, what: &str, stepped: &[String], event: &[String]) {

@@ -280,6 +280,78 @@ fn two_contending_processes_finish_at_identical_times() {
     });
 }
 
+/// A `cosched_grid` benchmark cell at reduced scale: Streamcluster on
+/// machine A's best single worker node (node 4), placed by BWAP at DWP
+/// 0.5, beside Swaptions spread over the other seven nodes by first
+/// touch. The loaded-latency feedback never reaches a fixed point here:
+/// it settles into a period-2 orbit, so the event engine finds no stride
+/// and every epoch's demand set repeats the one from two epochs back. The
+/// engine must reuse stored solves for almost every epoch (a one-slot
+/// memo would re-solve all 1,883).
+#[test]
+fn coscheduled_period_two_orbit_reuses_stored_solves() {
+    let m = machines::machine_a();
+    let swaptions = AppProfile {
+        name: "SW".into(),
+        read_gbps_per_thread: 0.10285714285714284,
+        write_gbps_per_thread: 0.017142857142857147,
+        private_frac: 0.98,
+        latency_sensitivity: 0.05,
+        serial_frac: 0.01,
+        multinode_penalty: 0.0,
+        shared_pages: 8192,
+        private_pages_per_thread: 2048,
+        total_traffic_gb: f64::INFINITY,
+        open_loop: false,
+    };
+    let streamcluster = AppProfile {
+        name: "SC".into(),
+        read_gbps_per_thread: 2.011,
+        write_gbps_per_thread: 0.01399999999999999,
+        private_frac: 0.002,
+        latency_sensitivity: 0.45,
+        serial_frac: 0.005,
+        multinode_penalty: 0.08,
+        shared_pages: 20480,
+        private_pages_per_thread: 64,
+        total_traffic_gb: 112.0,
+        open_loop: false,
+    };
+    // BWAP's DWP-0.5 weights for this worker as its user-level interleave
+    // realizes them over 20,480 shared pages.
+    let dwp_half = vec![
+        0.0425566173735119,
+        0.027355957031249996,
+        0.06078578404017856,
+        0.054714820498511896,
+        0.6595650809151784,
+        0.08207484654017856,
+        0.0440702892485119,
+        0.028876604352678564,
+    ];
+    let worker = NodeSet::single(NodeId(4));
+    let (stepped, _) = assert_equivalent("cosched-dwp-0.5", &m, &SimConfig::default(), |sim| {
+        let others = m.worker_nodes().difference(worker);
+        sim.spawn(swaptions.clone(), others, None, MemPolicy::FirstTouch).unwrap();
+        let sc = sim
+            .spawn(
+                streamcluster.clone(),
+                worker,
+                None,
+                MemPolicy::WeightedInterleave(dwp_half.clone()),
+            )
+            .unwrap();
+        Drive::UntilFinished(sc, 600.0)
+    });
+    let stats = stepped.stats;
+    assert!(
+        stats.solves * 20 <= stats.full_epochs,
+        "{} solves over {} full epochs: repeated demand sets were re-solved",
+        stats.solves,
+        stats.full_epochs
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Proptest sweeps. Shrinking minimizes the scenario; the panic message
 // from `assert_equivalent` then names the first diverging event.

@@ -301,8 +301,9 @@ fn load_of(sim: &Simulator) -> f64 {
 }
 
 /// Run an open-loop job stream over a fleet. Every job must arrive at a
-/// finite, non-negative time and depart (if at all) at a finite time
-/// after it arrives; otherwise the run is a [`RuntimeError::Scenario`]
+/// finite, non-negative time no later than the 3,600 s simulation
+/// ceiling, and depart (if at all) at a finite time after it arrives;
+/// otherwise the run is a [`RuntimeError::Scenario`]
 /// naming the first offending job (an invalid `cfg.sim_cfg` is an error
 /// too). Jobs are submitted in arrival-time order (stable for ties); for
 /// each job every machine is advanced to the arrival's epoch, the
@@ -330,6 +331,14 @@ pub fn run_fleet(
         if !(job.at_s.is_finite() && job.at_s >= 0.0) {
             return Err(RuntimeError::Scenario(format!(
                 "job {i}: arrival time {} must be finite and >= 0",
+                job.at_s
+            )));
+        }
+        // The fleet steps every machine up to each arrival, so a later
+        // arrival would run past the ceiling every other run stops at.
+        if job.at_s > MAX_SIM_S {
+            return Err(RuntimeError::Scenario(format!(
+                "job {i}: arrival time {} is past the {MAX_SIM_S} s simulation limit",
                 job.at_s
             )));
         }
@@ -655,7 +664,7 @@ mod tests {
         let jobs = [FleetJob::new(0.0, w.clone()), FleetJob::new(f64::NAN, w.clone())];
         let err = run_fleet(&cfg, &jobs, None).unwrap_err().to_string();
         assert!(err.contains("job 1: arrival time NaN"), "{err}");
-        for at in [-1.0, f64::INFINITY] {
+        for at in [-1.0, f64::INFINITY, 1e12] {
             let err = run_fleet(&cfg, &[FleetJob::new(at, w.clone())], None).unwrap_err();
             assert!(err.to_string().contains("job 0: arrival time"), "{err}");
         }
