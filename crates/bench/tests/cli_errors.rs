@@ -87,6 +87,17 @@ fn campaign_rejects_fleet_job_counts_past_the_ceiling() {
 }
 
 #[test]
+fn campaign_rejects_cell_delays_past_the_ceiling() {
+    // A delay of u64::MAX ms used to be accepted, and every cell then
+    // slept for it: the campaign never finished.
+    let args = ["--quick", "--faults", "cell-delay=1:18446744073709551615"];
+    let out = Command::new(env!("CARGO_BIN_EXE_campaign")).args(args).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("bad fault param"), "stderr: {stderr}");
+}
+
+#[test]
 fn campaign_fails_fleet_cells_whose_job_arrives_past_the_time_limit() {
     // At 1e-300 jobs/s the one job arrives near 1e300 s; the fleet used to
     // step every machine toward it epoch by epoch and never finish. Each

@@ -60,10 +60,6 @@ pub struct GroupOutcome {
 /// rebuild it every epoch without allocating. Groups are appended either
 /// wholesale ([`DemandSet::push`]) or incrementally
 /// ([`DemandSet::begin_group`] + [`DemandSet::add_flow`]).
-///
-/// [`DemandSet::bitwise_eq`] compares two sets bit for bit, and
-/// `clone_from` copies one into another's existing buffers: the epoch loop
-/// uses both to reuse the solve of a repeated demand set.
 #[derive(Debug, Default)]
 pub struct DemandSet {
     headers: Vec<GroupHeader>,
@@ -78,18 +74,6 @@ struct GroupHeader {
     /// Exclusive end of this group's span in `flows` (its start is the
     /// previous header's end).
     flows_end: usize,
-}
-
-impl Clone for DemandSet {
-    fn clone(&self) -> Self {
-        DemandSet { headers: self.headers.clone(), flows: self.flows.clone() }
-    }
-
-    /// Copies into `self`'s existing buffers.
-    fn clone_from(&mut self, src: &Self) {
-        self.headers.clone_from(&src.headers);
-        self.flows.clone_from(&src.flows);
-    }
 }
 
 /// Solver result: per-group outcomes plus the raw allocation for resource
@@ -203,28 +187,6 @@ impl DemandSet {
         for f in g.flows {
             self.add_flow(f);
         }
-    }
-
-    /// Whether `self` and `other` hold the same groups and flows, bit for
-    /// bit (floats compare by `to_bits`, so `-0.0 != 0.0`). Equal sets
-    /// solve to bitwise-equal results on the same machine.
-    pub fn bitwise_eq(&self, other: &DemandSet) -> bool {
-        let header_eq = |a: &GroupHeader, b: &GroupHeader| {
-            a.id == b.id
-                && a.weight.to_bits() == b.weight.to_bits()
-                && a.cap.to_bits() == b.cap.to_bits()
-                && a.flows_end == b.flows_end
-        };
-        let flow_eq = |a: &FlowDemand, b: &FlowDemand| {
-            a.mem == b.mem
-                && a.cpu == b.cpu
-                && a.read_gbps.to_bits() == b.read_gbps.to_bits()
-                && a.write_gbps.to_bits() == b.write_gbps.to_bits()
-        };
-        self.headers.len() == other.headers.len()
-            && self.flows.len() == other.flows.len()
-            && self.headers.iter().zip(&other.headers).all(|(a, b)| header_eq(a, b))
-            && self.flows.iter().zip(&other.flows).all(|(a, b)| flow_eq(a, b))
     }
 
     fn group_flows(&self, i: usize) -> &[FlowDemand] {

@@ -34,7 +34,7 @@ use bwap_fabric::{DemandSet, FlowDemand};
 use bwap_topology::{MachineTopology, NodeId};
 
 /// Post-solve context for one application group.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct GroupMeta {
     /// Worker node index.
     pub node: usize,
@@ -47,14 +47,25 @@ pub(crate) struct GroupMeta {
     /// Serial-time scaling from average access latency.
     pub latency_factor: f64,
     /// Traffic share per memory node: `node_count` values starting at this
-    /// offset of the epoch's [`DemandScratch::share_arena`].
+    /// offset of the epoch's share arena.
     pub share_off: usize,
 }
 
+impl GroupMeta {
+    /// Whether `self` and `other` hold the same bits (floats compare by
+    /// `to_bits`).
+    pub fn bitwise_eq(&self, other: &GroupMeta) -> bool {
+        self.node == other.node
+            && self.cycle_threads.to_bits() == other.cycle_threads.to_bits()
+            && self.demand_gbps.to_bits() == other.demand_gbps.to_bits()
+            && self.latency_factor.to_bits() == other.latency_factor.to_bits()
+            && self.share_off == other.share_off
+    }
+}
+
 /// Reusable buffers for demand building: each process's page
-/// distributions, kept between epochs; the epoch's loaded-latency
-/// inflation per node; and the flat arena every group's traffic-share
-/// vector lives in. Never reallocated in steady state.
+/// distributions, kept between epochs, and the epoch's loaded-latency
+/// inflation per node. Never reallocated in steady state.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DemandScratch {
     /// Page distributions per process, indexed by pid.
@@ -65,18 +76,13 @@ pub(crate) struct DemandScratch {
     inflation: Vec<f64>,
     /// Scratch: active memory-node indices (open-loop bundle split).
     active: Vec<usize>,
-    /// Arena of per-group share vectors; [`GroupMeta::share_off`] indexes
-    /// into it.
-    pub share_arena: Vec<f64>,
 }
 
 impl DemandScratch {
-    /// Start an epoch over `procs` processes: reset the share arena and
-    /// evaluate each node's latency inflation once, from the controller
-    /// utilization `ctrl_util` of the previous epoch and the `(a, b)`
-    /// parameters `lat_infl`.
+    /// Start an epoch over `procs` processes: evaluate each node's latency
+    /// inflation once, from the controller utilization `ctrl_util` of the
+    /// previous epoch and the `(a, b)` parameters `lat_infl`.
     pub fn begin_epoch(&mut self, ctrl_util: &[f64], lat_infl: (f64, f64), procs: usize) {
-        self.share_arena.clear();
         self.inflation.clear();
         self.inflation
             .extend(ctrl_util.iter().map(|&u| latency_inflation(u, lat_infl.0, lat_infl.1)));
@@ -178,16 +184,18 @@ pub(crate) fn latency_inflation(rho: f64, a: f64, b: f64) -> f64 {
 }
 
 /// Build the demand groups for one running process, appending fabric
-/// groups to `ds` and `(pid, meta)` records to `metas` (parallel, same
-/// order). Latencies are inflated by the loads `ws` was given at
-/// [`DemandScratch::begin_epoch`]. All working memory comes from `ws` —
-/// nothing is allocated in steady state.
+/// groups to `ds`, `(pid, meta)` records to `metas` (parallel, same order)
+/// and each group's traffic shares to the arena `shares`. Latencies are
+/// inflated by the loads `ws` was given at [`DemandScratch::begin_epoch`].
+/// All working memory comes from `ws` — nothing is allocated in steady
+/// state.
 pub(crate) fn build_app_groups(
     proc_: &SimProcess,
     machine: &MachineTopology,
     make_id: impl Fn(usize) -> u64,
     ds: &mut DemandSet,
     metas: &mut Vec<(ProcessId, GroupMeta)>,
+    shares: &mut Vec<f64>,
     ws: &mut DemandScratch,
 ) {
     let n = machine.node_count();
@@ -210,14 +218,14 @@ pub(crate) fn build_app_groups(
         }
         let p = profile.private_frac;
         let priv_dist = &dists.private[w * n..(w + 1) * n];
-        let share_off = ws.share_arena.len();
-        ws.share_arena
+        let share_off = shares.len();
+        shares
             .extend(priv_dist.iter().zip(&dists.shared).map(|(&pv, &sh)| p * pv + (1.0 - p) * sh));
         // Average access latency seen from node w, inflated by queueing
         // delay at loaded controllers.
         let lat_w: f64 = (0..n)
             .map(|i| {
-                ws.share_arena[share_off + i]
+                shares[share_off + i]
                     * machine.latency_ns().get(NodeId(i as u16), NodeId(w as u16))
                     * ws.inflation[i]
             })
@@ -242,16 +250,15 @@ pub(crate) fn build_app_groups(
             // the node's threads across its flow groups so totals stay
             // correct.
             ws.active.clear();
-            ws.active.extend(
-                (0..n).filter(|&i| ws.share_arena[share_off + i] > 1e-12 && demand_gbps > 0.0),
-            );
+            ws.active
+                .extend((0..n).filter(|&i| shares[share_off + i] > 1e-12 && demand_gbps > 0.0));
             let cycle_share = t_w as f64 / ws.active.len().max(1) as f64;
             for idx in 0..ws.active.len() {
                 let i = ws.active[idx];
-                let share_i = ws.share_arena[share_off + i];
-                let one_hot_off = ws.share_arena.len();
+                let share_i = shares[share_off + i];
+                let one_hot_off = shares.len();
                 for j in 0..n {
-                    ws.share_arena.push(if j == i { 1.0 } else { 0.0 });
+                    shares.push(if j == i { 1.0 } else { 0.0 });
                 }
                 let path_bw = machine.path_caps().get(NodeId(i as u16), NodeId(w as u16));
                 ds.begin_group(make_id(w), t_w as f64 * path_bw, 1.0);
@@ -270,7 +277,7 @@ pub(crate) fn build_app_groups(
         } else {
             ds.begin_group(make_id(w), t_w as f64, 1.0);
             for i in 0..n {
-                let share_i = ws.share_arena[share_off + i];
+                let share_i = shares[share_off + i];
                 if share_i > 1e-12 && demand_gbps > 0.0 {
                     ds.add_flow(mk_flow(share_i, i));
                 }

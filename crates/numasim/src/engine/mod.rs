@@ -8,8 +8,11 @@
 //! 2. adds rate-limited migration traffic for pending page moves;
 //! 3. lets `bwap-fabric` allocate bandwidth (weighted demand-bounded
 //!    max-min over the machine's controllers, links, path caps and ingress
-//!    limits), or reuses the stored allocation when the demand set repeats
-//!    one of the last two solved, bit for bit;
+//!    limits) and records the controller utilization it produces. Stages
+//!    1–3 form the epoch's *plan*: an epoch that starts from the same
+//!    controller utilization, bit for bit, as one of the last four plans,
+//!    with no migration queued and no process input changed since that
+//!    plan was stored, copies it into place instead of rebuilding it;
 //! 4. advances progress, accounts stall cycles and per-flow counters, and
 //!    completes migrations;
 //! 5. fires due daemons (AutoNUMA, tuners, monitors).
@@ -75,7 +78,7 @@ pub struct AppProfile {
 impl AppProfile {
     /// Validate parameter ranges.
     pub fn validate(&self) -> Result<(), SimError> {
-        let bad = |m: String| Err(SimError::InvalidWeights(m));
+        let bad = |m: String| Err(SimError::InvalidProfile(m));
         if !(self.read_gbps_per_thread >= 0.0 && self.read_gbps_per_thread.is_finite()) {
             return bad(format!("read_gbps {}", self.read_gbps_per_thread));
         }
@@ -199,47 +202,104 @@ pub struct EngineStats {
     /// Full epochs: calls to [`Simulator::step`], including the one that
     /// opens each event-driven stride.
     pub full_epochs: u64,
-    /// Max-min solves run. A full epoch whose demand set repeats a stored
-    /// one reuses its result and runs none. Debug builds re-solve every
-    /// reuse to check it; those solves are not counted.
+    /// Max-min solves run. A full epoch that reuses a stored epoch plan
+    /// builds no demand and runs none. Debug builds rebuild every reused
+    /// plan to check it; those solves are not counted.
     pub solves: u64,
 }
 
-/// Stored solves: the loaded-latency feedback settles into period-1 and
-/// period-2 orbits, so most full epochs repeat one of the last two demand
-/// sets bit for bit.
-const SOLVE_MEMO_SLOTS: usize = 2;
+/// Stored epoch plans: the loaded-latency feedback settles into orbits of
+/// period 1, 2 or 4, so most full epochs start from one of the last four
+/// controller-utilization vectors bit for bit.
+const PLAN_SLOTS: usize = 4;
 
-/// The last [`SOLVE_MEMO_SLOTS`] distinct `(demand set, solve result)`
-/// pairs. A solve reads only the demand set and what never changes after
-/// [`Simulator::new`] (machine, resource table, controller model), so a
-/// bitwise-equal demand set has a bitwise-equal result.
+/// What stages 1–3 of a full epoch produce and stages 4–5 read.
 #[derive(Default)]
-struct SolveMemo {
-    slots: Vec<(DemandSet, SolveResult)>,
-    /// Slot of the latest hit or store; the other one is evicted next.
-    newest: usize,
+struct EpochPlan {
+    /// `(pid, meta)` per application group, parallel to the first groups
+    /// of `solved`.
+    app_meta: Vec<(ProcessId, demand::GroupMeta)>,
+    /// Arena of per-group traffic-share vectors
+    /// ([`demand::GroupMeta::share_off`] indexes into it).
+    shares: Vec<f64>,
+    /// The bandwidth allocation.
+    solved: SolveResult,
+    /// Controller utilization per node under that allocation.
+    util: Vec<f64>,
 }
 
-impl SolveMemo {
-    /// The stored result for a demand set bitwise equal to `ds`.
-    fn lookup(&mut self, ds: &DemandSet) -> Option<&SolveResult> {
-        let i = self.slots.iter().position(|(d, _)| d.bitwise_eq(ds))?;
-        self.newest = i;
-        Some(&self.slots[i].1)
+impl EpochPlan {
+    /// Copy `src` into `self`'s existing buffers.
+    fn copy_from(&mut self, src: &EpochPlan) {
+        self.app_meta.clone_from(&src.app_meta);
+        self.shares.clone_from(&src.shares);
+        self.solved.clone_from(&src.solved);
+        self.util.clone_from(&src.util);
     }
 
-    /// Keep a fresh solve in place of the least recently used pair.
-    fn store(&mut self, ds: &DemandSet, solved: &SolveResult) {
-        if self.slots.len() < SOLVE_MEMO_SLOTS {
-            self.newest = self.slots.len();
-            self.slots.push((ds.clone(), solved.clone()));
-        } else {
-            self.newest = (self.newest + 1) % SOLVE_MEMO_SLOTS;
-            let (d, s) = &mut self.slots[self.newest];
-            d.clone_from(ds);
-            s.clone_from(solved);
+    /// Whether `self` and `other` hold the same bits.
+    fn bitwise_eq(&self, other: &EpochPlan) -> bool {
+        self.app_meta.len() == other.app_meta.len()
+            && self
+                .app_meta
+                .iter()
+                .zip(&other.app_meta)
+                .all(|((p, a), (q, b))| p == q && a.bitwise_eq(b))
+            && bits_eq(&self.shares, &other.shares)
+            && self.solved.bitwise_eq(&other.solved)
+            && bits_eq(&self.util, &other.util)
+    }
+}
+
+/// Whether two float slices hold the same bits (so `-0.0 != 0.0`).
+fn bits_eq(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// The last [`PLAN_SLOTS`] epoch plans, most recently used first, each keyed
+/// by the controller utilization it was built from. A plan is a pure
+/// function of that utilization and of the running processes' inputs
+/// (profile, threads, page distributions), so while the latter stay
+/// unchanged a bitwise-equal key has a bitwise-equal plan.
+#[derive(Default)]
+struct PlanMemo {
+    /// `(utilization, plan)`; the first `live` hold stored plans, the rest
+    /// are spare buffers.
+    slots: Vec<(Vec<f64>, EpochPlan)>,
+    live: usize,
+}
+
+impl PlanMemo {
+    /// Drop every stored plan, keeping the buffers.
+    fn clear(&mut self) {
+        self.live = 0;
+    }
+
+    /// Copy the plan built from utilization bitwise equal to `util` into
+    /// `out`. Returns false, leaving `out` as it was, when none is stored.
+    fn lookup_into(&mut self, util: &[f64], out: &mut EpochPlan) -> bool {
+        let Some(i) = self.slots[..self.live].iter().position(|(key, _)| bits_eq(key, util)) else {
+            return false;
+        };
+        self.slots[..=i].rotate_right(1);
+        out.copy_from(&self.slots[0].1);
+        true
+    }
+
+    /// Keep `plan`, built from `util`, in place of the least recently used
+    /// one.
+    fn store(&mut self, util: &[f64], plan: &EpochPlan) {
+        if self.live < PLAN_SLOTS {
+            if self.slots.len() == self.live {
+                self.slots.push(Default::default());
+            }
+            self.live += 1;
         }
+        self.slots[..self.live].rotate_right(1);
+        let (key, stored) = &mut self.slots[0];
+        key.clear();
+        key.extend_from_slice(util);
+        stored.copy_from(plan);
     }
 }
 
@@ -252,14 +312,12 @@ struct StepScratch {
     ds: DemandSet,
     /// Fabric solver buffers.
     solve_ws: SolveScratch,
-    /// Solver output, reused.
-    solved: SolveResult,
-    /// Recent solves, reused when a demand set repeats.
-    memo: SolveMemo,
-    /// `(pid, meta)` per application group, parallel to `ds`'s app groups.
-    app_meta: Vec<(ProcessId, demand::GroupMeta)>,
+    /// This epoch's plan.
+    plan: EpochPlan,
+    /// Recent plans, reused when an epoch starts from the same utilization.
+    plans: PlanMemo,
     /// Demand-building buffers (cached page distributions, latency
-    /// inflation, share arena).
+    /// inflation).
     demand_ws: demand::DemandScratch,
     /// Per-process `(group index, activity)` lists.
     per_proc: Vec<Vec<(usize, f64)>>,
@@ -336,6 +394,11 @@ pub struct Simulator {
     quiescent: bool,
     /// Reused epoch-loop buffers.
     scratch: StepScratch,
+    /// Whether a demand input other than the controller utilization may
+    /// have changed since the last full epoch: a process spawned, arrived,
+    /// departed, finished or switched phase, or was changed through
+    /// `process_mut`. The next full epoch then drops every stored plan.
+    plans_dirty: bool,
     /// Work counts so far.
     stats: EngineStats,
     /// Structured run tracing; `None` (the default) makes every hook a
@@ -385,6 +448,7 @@ impl Simulator {
             util_prev: vec![0.0; n],
             quiescent: false,
             scratch: StepScratch::default(),
+            plans_dirty: false,
             stats: EngineStats::default(),
             trace: None,
         }
@@ -619,6 +683,7 @@ impl Simulator {
             migration_credit: 0.0,
             phases: None,
         });
+        self.plans_dirty = true;
         if let Some(tr) = self.trace.as_mut() {
             tr.note_track(
                 trace::process_track(pid),
@@ -634,7 +699,10 @@ impl Simulator {
         self.procs.get(pid.0).ok_or(SimError::NoSuchProcess(pid.0))
     }
 
+    /// Borrow a process to change it; stored epoch plans are dropped before
+    /// the next full epoch.
     fn process_mut(&mut self, pid: ProcessId) -> Result<&mut SimProcess, SimError> {
+        self.plans_dirty = true;
         self.procs.get_mut(pid.0).ok_or(SimError::NoSuchProcess(pid.0))
     }
 
@@ -769,7 +837,7 @@ impl Simulator {
         phases: Vec<(f64, AppProfile)>,
     ) -> Result<(), SimError> {
         if phases.is_empty() {
-            return Err(SimError::InvalidWeights("empty phase timeline".into()));
+            return Err(SimError::InvalidProfile("empty phase timeline".into()));
         }
         for (i, (d, profile)) in phases.iter().enumerate() {
             // A phase must span at least one epoch: boundaries are only
@@ -777,7 +845,7 @@ impl Simulator {
             // float ulp of the clock would never advance `next_switch`
             // (an infinite loop, not just a skipped phase).
             if !(d.is_finite() && *d >= self.cfg.epoch_dt) {
-                return Err(SimError::InvalidWeights(format!(
+                return Err(SimError::InvalidProfile(format!(
                     "phase {i}: duration {d} shorter than one epoch ({})",
                     self.cfg.epoch_dt
                 )));
@@ -879,6 +947,7 @@ impl Simulator {
                 tl.next_switch += tl.phases[tl.idx].0;
                 tl.switches += 1;
                 p.profile = tl.phases[tl.idx].1.clone();
+                self.plans_dirty = true;
                 if let Some(tr) = self.trace.as_mut() {
                     tr.instant(
                         "phase-switch",
@@ -892,115 +961,49 @@ impl Simulator {
                 }
             }
         }
-        let scratch = &mut self.scratch;
 
-        // 1-2. Assemble demand into the reused workspace.
-        scratch.ds.clear();
-        scratch.app_meta.clear();
-        scratch.demand_ws.begin_epoch(
-            &self.ctrl_util,
-            self.cfg.latency_inflation,
-            self.procs.len(),
-        );
-        for p in &self.procs {
-            if !p.is_running() {
-                continue;
-            }
-            let pid = p.id;
-            demand::build_app_groups(
-                p,
-                &self.machine,
-                |w| (pid.0 as u64) << 16 | w as u64,
-                &mut scratch.ds,
-                &mut scratch.app_meta,
-                &mut scratch.demand_ws,
-            );
+        // 1-3. The epoch's plan. Reuse a stored one built from bitwise-equal
+        // utilization unless a process input changed since it was stored,
+        // and never while migrations are queued: their traffic and landings
+        // change from epoch to epoch.
+        if std::mem::take(&mut self.plans_dirty) {
+            self.scratch.plans.clear();
         }
-        scratch.mig_meta.clear();
-        for p in &self.procs {
-            if p.migrations.is_empty() {
-                continue;
+        let queued = self.procs.iter().any(|p| !p.migrations.is_empty());
+        let mut plan = std::mem::take(&mut self.scratch.plan);
+        if !queued && self.scratch.plans.lookup_into(&self.ctrl_util, &mut plan) {
+            self.scratch.mig_meta.clear();
+            if cfg!(debug_assertions) {
+                let mut fresh = EpochPlan::default();
+                self.build_plan(&mut fresh);
+                assert!(fresh.bitwise_eq(&plan), "a reused epoch plan differs from a fresh build");
             }
-            let budget_pages =
-                ((self.cfg.migration_gbps * 1e9 * dt) / PAGE_SIZE as f64).ceil() as usize;
-            let attempt = budget_pages.min(p.migrations.pending()).max(1);
-            // Aggregate the attempted pages by (from, to) — prefix
-            // arithmetic over each range's pattern — in first-appearance
-            // order, so the emitted flow order matches the queue page
-            // order exactly.
-            scratch.pairs.reset(n);
-            let mut left = attempt as u64;
-            for r in p.migrations.ranges() {
-                if left == 0 {
-                    break;
-                }
-                let take = r.moved().min(left);
-                left -= take;
-                r.for_each_prefix_slot(take, |from, to, pages| scratch.pairs.add(from, to, pages));
+        } else {
+            self.build_plan(&mut plan);
+            self.stats.solves += 1;
+            if !queued {
+                self.scratch.plans.store(&self.ctrl_util, &plan);
             }
-            scratch.ds.begin_group((1u64 << 63) | p.id.0 as u64, 1.0, 1.0);
-            for (from, to, count) in scratch.pairs.iter() {
-                let rate = count as f64 * PAGE_SIZE as f64 / dt / 1e9;
-                // Read the page from its current node...
-                scratch.ds.add_flow(FlowDemand {
-                    mem: from,
-                    cpu: to,
-                    read_gbps: rate,
-                    write_gbps: 0.0,
-                });
-                // ...and write it into the destination node.
-                scratch.ds.add_flow(FlowDemand {
-                    mem: to,
-                    cpu: to,
-                    read_gbps: 0.0,
-                    write_gbps: rate,
-                });
-            }
-            scratch.mig_meta.push(MigAttempt { pid: p.id, pages: attempt });
-            if let Some(tr) = self.trace.as_mut() {
+        }
+        self.scratch.plan = plan;
+        let scratch = &mut self.scratch;
+        if let Some(tr) = self.trace.as_mut() {
+            for att in &scratch.mig_meta {
                 tr.drain_start(
-                    p.id.0,
-                    trace::process_track(p.id),
+                    att.pid.0,
+                    trace::process_track(att.pid),
                     epoch_ts,
-                    p.migrations.pending() as u64,
+                    self.procs[att.pid.0].migrations.pending() as u64,
                 );
             }
         }
-
-        // 3. Allocate bandwidth, reusing the stored result when the demand
-        // set repeats one solved before.
-        if let Some(stored) = scratch.memo.lookup(&scratch.ds) {
-            scratch.solved.clone_from(stored);
-            debug_assert!(
-                scratch
-                    .ds
-                    .solve(&self.machine, &self.resources, &self.cfg.ctrl_model)
-                    .bitwise_eq(&scratch.solved),
-                "a reused solve differs from a fresh one"
-            );
-        } else {
-            scratch.ds.solve_into(
-                &self.machine,
-                &self.resources,
-                &self.cfg.ctrl_model,
-                &mut scratch.solve_ws,
-                &mut scratch.solved,
-            );
-            scratch.memo.store(&scratch.ds, &scratch.solved);
-            self.stats.solves += 1;
-        }
-        self.util_prev.clear();
-        self.util_prev.extend_from_slice(&self.ctrl_util);
-        for i in 0..n {
-            let r = self.resources.ctrl(NodeId(i as u16));
-            self.ctrl_util[i] =
-                scratch.solved.allocation.utilization(self.resources.capacities(), r);
-        }
+        std::mem::swap(&mut self.util_prev, &mut self.ctrl_util);
+        self.ctrl_util.clone_from(&scratch.plan.util);
         let util_fixed = self.util_prev == self.ctrl_util;
         if let Some(tr) = self.trace.as_mut() {
             // Directed link pairs arrive consecutively (AtoB then BtoA);
             // fold each pair into one per-link counter sample.
-            let mut shares = scratch.solved.link_shares(&self.resources);
+            let mut shares = scratch.plan.solved.link_shares(&self.resources);
             tr.link_counters(
                 epoch_ts,
                 std::iter::from_fn(|| {
@@ -1015,12 +1018,12 @@ impl Simulator {
         // stride replays per skipped epoch, so it lives in its own method.
         let any_finished = self.advance_progress();
         let scratch = &mut self.scratch;
-        let app_groups = scratch.app_meta.len();
+        let app_groups = scratch.plan.app_meta.len();
 
         // 5. Complete migrations: one patterned splice per completed range.
         for mi in 0..scratch.mig_meta.len() {
             let att = &scratch.mig_meta[mi];
-            let u = scratch.solved.outcomes[app_groups + mi].activity;
+            let u = scratch.plan.solved.outcomes[app_groups + mi].activity;
             let pid = att.pid;
             self.procs[pid.0].migration_credit += u * att.pages as f64;
             let done = (self.procs[pid.0].migration_credit + 1e-9).floor() as usize;
@@ -1098,6 +1101,95 @@ impl Simulator {
             no_migrations && !any_finished && !any_fired && !any_lifecycle && util_fixed;
     }
 
+    /// Stages 1–3 of [`Simulator::step`], into `plan`: each running
+    /// process's demand groups under the loaded latency of the current
+    /// controller utilization, one migration group per process with queued
+    /// moves (attempts recorded in `scratch.mig_meta`), the bandwidth
+    /// allocation, and the controller utilization it produces. A missed
+    /// plan is built here, and so is the debug check of a reused one.
+    fn build_plan(&mut self, plan: &mut EpochPlan) {
+        let dt = self.cfg.epoch_dt;
+        let n = self.machine.node_count();
+        let scratch = &mut self.scratch;
+        scratch.ds.clear();
+        plan.app_meta.clear();
+        plan.shares.clear();
+        scratch.demand_ws.begin_epoch(
+            &self.ctrl_util,
+            self.cfg.latency_inflation,
+            self.procs.len(),
+        );
+        for p in &self.procs {
+            if !p.is_running() {
+                continue;
+            }
+            let pid = p.id;
+            demand::build_app_groups(
+                p,
+                &self.machine,
+                |w| (pid.0 as u64) << 16 | w as u64,
+                &mut scratch.ds,
+                &mut plan.app_meta,
+                &mut plan.shares,
+                &mut scratch.demand_ws,
+            );
+        }
+        scratch.mig_meta.clear();
+        for p in &self.procs {
+            if p.migrations.is_empty() {
+                continue;
+            }
+            let budget_pages =
+                ((self.cfg.migration_gbps * 1e9 * dt) / PAGE_SIZE as f64).ceil() as usize;
+            let attempt = budget_pages.min(p.migrations.pending()).max(1);
+            // Aggregate the attempted pages by (from, to) — prefix
+            // arithmetic over each range's pattern — in first-appearance
+            // order, so the emitted flow order matches the queue page
+            // order exactly.
+            scratch.pairs.reset(n);
+            let mut left = attempt as u64;
+            for r in p.migrations.ranges() {
+                if left == 0 {
+                    break;
+                }
+                let take = r.moved().min(left);
+                left -= take;
+                r.for_each_prefix_slot(take, |from, to, pages| scratch.pairs.add(from, to, pages));
+            }
+            scratch.ds.begin_group((1u64 << 63) | p.id.0 as u64, 1.0, 1.0);
+            for (from, to, count) in scratch.pairs.iter() {
+                let rate = count as f64 * PAGE_SIZE as f64 / dt / 1e9;
+                // Read the page from its current node...
+                scratch.ds.add_flow(FlowDemand {
+                    mem: from,
+                    cpu: to,
+                    read_gbps: rate,
+                    write_gbps: 0.0,
+                });
+                // ...and write it into the destination node.
+                scratch.ds.add_flow(FlowDemand {
+                    mem: to,
+                    cpu: to,
+                    read_gbps: 0.0,
+                    write_gbps: rate,
+                });
+            }
+            scratch.mig_meta.push(MigAttempt { pid: p.id, pages: attempt });
+        }
+        scratch.ds.solve_into(
+            &self.machine,
+            &self.resources,
+            &self.cfg.ctrl_model,
+            &mut scratch.solve_ws,
+            &mut plan.solved,
+        );
+        plan.util.clear();
+        plan.util.extend((0..n).map(|i| {
+            let r = self.resources.ctrl(NodeId(i as u16));
+            plan.solved.allocation.utilization(self.resources.capacities(), r)
+        }));
+    }
+
     /// Stage 0a of [`Simulator::step`]: transition pending processes whose
     /// arrival time the clock has reached to running, and retire processes
     /// whose scheduled departure is due. Returns whether any transition
@@ -1144,6 +1236,7 @@ impl Simulator {
                 );
             }
         }
+        self.plans_dirty |= any;
         any
     }
 
@@ -1168,15 +1261,16 @@ impl Simulator {
             v.clear();
         }
         scratch.per_proc.resize_with(self.procs.len(), Vec::new);
-        for (gi, (pid, _)) in scratch.app_meta.iter().enumerate() {
-            scratch.per_proc[pid.0].push((gi, scratch.solved.outcomes[gi].activity));
+        let plan = &scratch.plan;
+        for (gi, (pid, _)) in plan.app_meta.iter().enumerate() {
+            scratch.per_proc[pid.0].push((gi, plan.solved.outcomes[gi].activity));
         }
         for (pid_idx, proc_groups) in scratch.per_proc.iter().enumerate() {
             if proc_groups.is_empty() {
                 continue;
             }
             let rate_gbps: f64 =
-                proc_groups.iter().map(|&(gi, u)| u * scratch.app_meta[gi].1.demand_gbps).sum();
+                proc_groups.iter().map(|&(gi, u)| u * plan.app_meta[gi].1.demand_gbps).sum();
             let p = &self.procs[pid_idx];
             let remaining = p.profile.total_traffic_gb - p.work_done_gb;
             let frac = if rate_gbps * dt >= remaining && remaining.is_finite() {
@@ -1198,12 +1292,12 @@ impl Simulator {
             };
             let pid = p.id;
             for &(gi, u) in proc_groups {
-                let meta = &scratch.app_meta[gi].1;
+                let meta = &plan.app_meta[gi].1;
                 let stall = demand::stall_fraction(u, alpha, meta.latency_factor);
                 let cycles = meta.cycle_threads * CLOCK_HZ * dt_eff;
                 self.counters.record_cycles(pid, cycles, stall * cycles);
                 let node_bytes = u * meta.demand_gbps * 1e9 * dt_eff;
-                let share = &scratch.demand_ws.share_arena[meta.share_off..meta.share_off + n];
+                let share = &plan.shares[meta.share_off..meta.share_off + n];
                 for (i, &share_i) in share.iter().enumerate() {
                     if share_i > 1e-12 {
                         self.counters.record_flow(
@@ -1220,6 +1314,7 @@ impl Simulator {
             p.work_done_gb += rate_gbps * dt_eff;
             if frac < 1.0 {
                 any_finished = true;
+                self.plans_dirty = true;
                 p.state = ProcessState::Finished { at: self.clock + dt_eff };
                 p.migrations.clear();
                 // Timestamped at the epoch start to keep emission order
@@ -1330,7 +1425,7 @@ impl Simulator {
             // values did not change, so consumers sampling the trace see
             // the plateau's extent, not a gap.
             let end_ts = trace::ts_us(self.clock);
-            let mut shares = self.scratch.solved.link_shares(&self.resources);
+            let mut shares = self.scratch.plan.solved.link_shares(&self.resources);
             tr.link_counters_forced(
                 end_ts,
                 std::iter::from_fn(|| {
@@ -1608,9 +1703,20 @@ mod tests {
         assert!(sim
             .spawn(profile(1.0), NodeSet::single(NodeId(0)), Some(99), MemPolicy::FirstTouch)
             .is_err());
-        let mut bad = profile(1.0);
-        bad.serial_frac = 1.5;
-        assert!(sim.spawn(bad, NodeSet::single(NodeId(0)), None, MemPolicy::FirstTouch).is_err());
+        for serial_frac in [1.5, 1.0] {
+            let mut bad = profile(1.0);
+            bad.serial_frac = serial_frac;
+            let r = sim.spawn(bad, NodeSet::single(NodeId(0)), None, MemPolicy::FirstTouch);
+            assert!(matches!(r, Err(SimError::InvalidProfile(_))), "{serial_frac}: {r:?}");
+        }
+        // Interleave weights keep their own variant.
+        let r = sim.spawn(
+            profile(1.0),
+            NodeSet::single(NodeId(0)),
+            None,
+            MemPolicy::WeightedInterleave(vec![0.5; 4]),
+        );
+        assert!(matches!(r, Err(SimError::InvalidWeights(_))), "{r:?}");
     }
 
     #[test]
@@ -1690,7 +1796,9 @@ mod tests {
         // Sub-epoch durations are rejected (they could never advance the
         // boundary), including denormals that would not move the clock.
         assert!(sim.set_phase_timeline(pid, vec![(1e-300, profile(1.0))]).is_err());
-        assert!(sim.set_phase_timeline(pid, vec![(0.001, profile(1.0))]).is_err());
+        let e = sim.set_phase_timeline(pid, vec![(0.001, profile(1.0))]).unwrap_err();
+        assert!(matches!(&e, SimError::InvalidProfile(m) if m.contains("shorter than one epoch")));
+        assert!(e.to_string().starts_with("invalid workload profile: phase 0"), "{e}");
         let mut bad = profile(1.0);
         bad.serial_frac = 2.0;
         assert!(sim.set_phase_timeline(pid, vec![(1.0, bad)]).is_err());
@@ -1704,6 +1812,32 @@ mod tests {
         // Finished processes reject timelines.
         sim.run_until_finished(pid, 600.0).unwrap();
         assert!(sim.set_phase_timeline(pid, vec![(1.0, profile(1.0))]).is_err());
+    }
+
+    /// A steady run reuses its stored epoch plan, and a spawn or a profile
+    /// change drops it: the change shows in the very next epoch.
+    #[test]
+    fn stored_plans_are_dropped_when_process_inputs_change() {
+        let mut sim = Simulator::new(machines::machine_b(), SimConfig::default());
+        let a = sim
+            .spawn(profile(f64::INFINITY), NodeSet::single(NodeId(0)), None, MemPolicy::FirstTouch)
+            .unwrap();
+        sim.run_for(0.5);
+        let settled = sim.engine_stats();
+        sim.run_for(0.5);
+        assert_eq!(sim.engine_stats().solves, settled.solves, "a steady run reuses its plan");
+        let b = sim
+            .spawn(profile(f64::INFINITY), NodeSet::single(NodeId(1)), None, MemPolicy::FirstTouch)
+            .unwrap();
+        sim.step();
+        assert!(sim.sample(b).unwrap().traffic_bytes > 0.0, "a spawned process runs at once");
+        sim.run_for(0.5);
+        let mut idle = profile(f64::INFINITY);
+        idle.read_gbps_per_thread = 0.0;
+        sim.set_profile(a, idle).unwrap();
+        let before = sim.sample(a).unwrap();
+        sim.step();
+        assert_eq!(sim.sample(a).unwrap().traffic_bytes, before.traffic_bytes, "idle profile");
     }
 
     #[test]

@@ -15,6 +15,9 @@ pub enum SimError {
     InvalidNodes(String),
     /// Weighted interleave with invalid weights.
     InvalidWeights(String),
+    /// An [`crate::AppProfile`] parameter out of range, or a bad phase
+    /// timeline.
+    InvalidProfile(String),
     /// Operation requires a running process but it already finished.
     ProcessFinished(usize),
     /// An arrival or departure time in the simulated past (or non-finite).
@@ -42,6 +45,7 @@ impl fmt::Display for SimError {
             }
             SimError::InvalidNodes(s) => write!(f, "invalid node set: {s}"),
             SimError::InvalidWeights(s) => write!(f, "invalid weights: {s}"),
+            SimError::InvalidProfile(s) => write!(f, "invalid workload profile: {s}"),
             SimError::ProcessFinished(p) => write!(f, "process {p} already finished"),
             SimError::InvalidTime(s) => write!(f, "invalid time: {s}"),
             SimError::InvalidConfig(s) => write!(f, "invalid simulator config: {s}"),

@@ -155,6 +155,12 @@ fn staggered_arrivals_and_departures_interleave_identically() {
         Drive::For(8.0)
     });
     assert_strides_sparse_arrivals(&stepped, &event);
+    // Exact work: 1,600 stepped epochs and 13 for the event engine. Each
+    // arrival, departure and finish drops the stored epoch plans, so both
+    // engines solve the same 13 times; every other stepped epoch reuses a
+    // stored plan.
+    let work = |r: &RunLog| (r.stats.full_epochs, r.stats.solves);
+    assert_eq!((work(&stepped), work(&event)), ((1600, 13), (13, 13)));
 }
 
 #[test]

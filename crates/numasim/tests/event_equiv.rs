@@ -285,9 +285,10 @@ fn two_contending_processes_finish_at_identical_times() {
 /// 0.5, beside Swaptions spread over the other seven nodes by first
 /// touch. The loaded-latency feedback never reaches a fixed point here:
 /// it settles into a period-2 orbit, so the event engine finds no stride
-/// and every epoch's demand set repeats the one from two epochs back. The
-/// engine must reuse stored solves for almost every epoch (a one-slot
-/// memo would re-solve all 1,883).
+/// and every epoch starts from the controller utilization of two epochs
+/// back. The engine must reuse a stored epoch plan, and so skip the demand
+/// build and the solve, for almost every epoch (a one-slot memo would
+/// rebuild all 1,883).
 #[test]
 fn coscheduled_period_two_orbit_reuses_stored_solves() {
     let m = machines::machine_a();
@@ -346,10 +347,11 @@ fn coscheduled_period_two_orbit_reuses_stored_solves() {
     let stats = stepped.stats;
     assert!(
         stats.solves * 20 <= stats.full_epochs,
-        "{} solves over {} full epochs: repeated demand sets were re-solved",
+        "{} solves over {} full epochs: repeated epoch plans were rebuilt",
         stats.solves,
         stats.full_epochs
     );
+    assert_eq!((stats.full_epochs, stats.solves), (1883, 65), "exact work of the stepped run");
 }
 
 // ---------------------------------------------------------------------------

@@ -92,6 +92,11 @@ impl FaultKind {
     }
 }
 
+/// The largest millisecond parameter [`FaultPlan::parse`] accepts. A
+/// `cell-delay` of a minute per cell already outlasts any chaos test;
+/// without a ceiling one flag value could hang a campaign for good.
+pub const MAX_FAULT_PARAM_MS: u64 = 60_000;
+
 /// One injected fault, as returned by [`FaultPlan::decide`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fault {
@@ -136,9 +141,11 @@ impl FaultPlan {
     }
 
     /// [`FaultPlan::with`] plus a millisecond parameter (the `cell-delay`
-    /// duration).
+    /// duration), clamped to [`MAX_FAULT_PARAM_MS`] so that
+    /// [`FaultPlan::to_spec`] always parses back.
     pub fn with_param(mut self, kind: FaultKind, rate: f64, param_ms: u64) -> FaultPlan {
         self.rules.retain(|r| r.kind != kind);
+        let param_ms = param_ms.min(MAX_FAULT_PARAM_MS);
         self.rules.push(FaultRule { kind, rate: rate.clamp(0.0, 1.0), param_ms });
         self
     }
@@ -157,7 +164,8 @@ impl FaultPlan {
     /// Parse the `--faults` spec grammar: comma-separated
     /// `kind=rate[:param_ms]` terms plus an optional `seed=N` term; the
     /// plan seed defaults to `default_seed` (the campaign seed) so chaos
-    /// runs are replayable from the campaign coordinates alone.
+    /// runs are replayable from the campaign coordinates alone. A
+    /// `param_ms` above [`MAX_FAULT_PARAM_MS`] is an error.
     ///
     /// Example: `cache-flip=0.5,journal-drop=0.25,cell-delay=1.0:20,seed=7`.
     pub fn parse(spec: &str, default_seed: u64) -> Result<FaultPlan, String> {
@@ -172,7 +180,16 @@ impl FaultPlan {
             let kind = FaultKind::from_label(name)
                 .ok_or_else(|| format!("unknown fault kind {name:?}"))?;
             let (rate_str, param_ms) = match value.split_once(':') {
-                Some((r, p)) => (r, p.parse().map_err(|_| format!("bad fault param {p:?} (ms)"))?),
+                Some((r, p)) => {
+                    let ms =
+                        p.parse().ok().filter(|&ms| ms <= MAX_FAULT_PARAM_MS).ok_or_else(|| {
+                            format!(
+                                "bad fault param {p:?} (expected milliseconds from 0 to \
+                                 {MAX_FAULT_PARAM_MS})"
+                            )
+                        })?;
+                    (r, ms)
+                }
                 None => (value, 0),
             };
             let rate: f64 = rate_str
@@ -244,6 +261,9 @@ mod tests {
         assert!(!plan.is_empty());
         assert!(plan.recoverable());
         assert_eq!(plan.decide(FaultKind::CellDelay, "x").unwrap().param_ms, 20);
+        // The ceiling itself is accepted.
+        let at_cap = FaultPlan::parse(&format!("cell-delay=1:{MAX_FAULT_PARAM_MS}"), 0).unwrap();
+        assert_eq!(at_cap.decide(FaultKind::CellDelay, "x").unwrap().param_ms, MAX_FAULT_PARAM_MS);
         // Unlisted kinds never fire.
         assert_eq!(plan.decide(FaultKind::CellPanic, "x"), None);
         // The campaign seed is the default.
@@ -269,6 +289,10 @@ mod tests {
         let empty = FaultPlan::new(3);
         assert_eq!(empty.to_spec(), "seed=3");
         assert!(FaultPlan::parse(&empty.to_spec(), 0).unwrap().is_empty());
+        // The builder clamps a parameter past the ceiling, so its spec
+        // still parses.
+        let long = FaultPlan::new(0).with_param(FaultKind::CellDelay, 1.0, u64::MAX);
+        assert_eq!(FaultPlan::parse(&long.to_spec(), 0).unwrap(), long);
     }
 
     #[test]
@@ -280,6 +304,9 @@ mod tests {
             "cache-flip=-1",
             "seed=x",
             "cell-delay=0.5:xms",
+            "cell-delay=1:60001",
+            "cell-delay=1:18446744073709551615",
+            "cell-delay=1:18446744073709551616",
         ] {
             assert!(FaultPlan::parse(bad, 0).is_err(), "{bad:?} must be rejected");
         }
