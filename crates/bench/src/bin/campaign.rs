@@ -34,16 +34,18 @@
 //! `--cache-dir` fill it for the full spec, which then replays every
 //! cell (`docs/ROBUSTNESS.md`). `--deterministic` additionally writes the
 //! volatile-free report (`*.deterministic.json`) for byte-for-byte
-//! comparison in CI.
-//!
-//! `--faults SPEC` injects a seeded, replayable chaos schedule into the
-//! cell cache and the executor, e.g.
-//! `--faults 'cache-flip=0.35,journal-drop=0.5,seed=16'`; recoverable
-//! faults never change the deterministic report.
+//! comparison in CI. A report that cannot be written is reported as
+//! `<path>: <error>` with exit 1.
 
 use bwap_bench::cli::SpecArgs;
-use bwap_bench::ResultTable;
-use bwap_runtime::{run_campaign_with, CampaignConfig, FaultPlan};
+use bwap_bench::{fail, results_dir, ResultTable};
+use bwap_runtime::{run_campaign_with, CampaignConfig};
+use std::path::PathBuf;
+
+/// The largest `--threads` accepted. The executor starts one OS thread
+/// per executed class up to the requested count, so an unbounded value
+/// could ask the OS for a thread per cell of a large campaign.
+const MAX_THREADS: usize = 1024;
 
 fn usage() -> ! {
     eprintln!(
@@ -57,12 +59,12 @@ fn usage() -> ! {
                 [--seed N] [--threads N]
                 [--engine stepped|event] [--out DIR] [--trace DIR]
                 [--cache-dir DIR] [--dedup on|off]
-                [--faults SPEC] [--deterministic] [--probe] [--quick]
+                [--deterministic] [--probe] [--quick]
        campaign --spec fig1a|fig4|table1|fig_tiered|fig_phases|fig_fleet|dwp_dedup
                 [--seed N]
                 [--threads N] [--engine stepped|event] [--out DIR] [--trace DIR]
                 [--cache-dir DIR] [--dedup on|off]
-                [--faults SPEC] [--deterministic] [--quick]
+                [--deterministic] [--quick]
 
 --spec renders a canned experiment campaign (its axes are fixed by the
 spec); all other axis flags only apply to ad-hoc campaigns. --phased adds
@@ -79,10 +81,8 @@ a fleet axis: an open-loop Poisson stream of jobs drawn from the plain
 workload catalog arrives at the listed machine mix, swept over
 --schedulers and --arrival-rates (jobs/s), with --fleet-jobs jobs per
 stream; fleet cells report slowdown-vs-solo tail percentiles (see
-docs/FLEET.md). --faults injects a seeded, replayable fault schedule into
-the cell cache and the executor (e.g. 'cache-flip=0.35,cell-delay=0.5:2,seed=7';
-seed defaults to the campaign seed) for chaos runs — recoverable faults
-never change the deterministic report."
+docs/FLEET.md). --threads caps the executor's worker threads (at most
+1024; default one per core)."
     );
     std::process::exit(2);
 }
@@ -91,12 +91,11 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut sa = SpecArgs::default();
     let mut threads = None;
-    let mut out: Option<std::path::PathBuf> = None;
-    let mut trace_dir: Option<std::path::PathBuf> = None;
-    let mut cache_dir: Option<std::path::PathBuf> = None;
+    let mut out: Option<PathBuf> = None;
+    let mut trace_dir: Option<PathBuf> = None;
+    let mut cache_dir: Option<PathBuf> = None;
     let mut dedup = true;
     let mut deterministic = false;
-    let mut faults_spec: Option<String> = None;
 
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -110,10 +109,19 @@ fn main() {
             }
         };
         match flag.as_str() {
-            "--threads" => threads = Some(value("--threads").parse().unwrap_or_else(|_| usage())),
-            "--out" => out = Some(std::path::PathBuf::from(value("--out"))),
-            "--trace" => trace_dir = Some(std::path::PathBuf::from(value("--trace"))),
-            "--cache-dir" => cache_dir = Some(std::path::PathBuf::from(value("--cache-dir"))),
+            "--threads" => {
+                let v = value("--threads");
+                match v.parse::<usize>() {
+                    Ok(n) if n <= MAX_THREADS => threads = Some(n),
+                    _ => {
+                        eprintln!("bad --threads {v:?} (expected at most {MAX_THREADS})");
+                        usage()
+                    }
+                }
+            }
+            "--out" => out = Some(PathBuf::from(value("--out"))),
+            "--trace" => trace_dir = Some(PathBuf::from(value("--trace"))),
+            "--cache-dir" => cache_dir = Some(PathBuf::from(value("--cache-dir"))),
             "--dedup" => {
                 dedup = match value("--dedup").as_str() {
                     "on" => true,
@@ -125,7 +133,6 @@ fn main() {
                 }
             }
             "--deterministic" => deterministic = true,
-            "--faults" => faults_spec = Some(value("--faults")),
             other => {
                 let mut take = || value(other);
                 match sa.apply(other, &mut take) {
@@ -150,19 +157,7 @@ fn main() {
     let n_cells = spec.cells().len();
     println!("campaign {:?}: {n_cells} cells on {}", spec.name, spec.machine.name());
 
-    // The fault plan's seed defaults to the campaign seed, so a chaos run
-    // is replayable from the campaign coordinates alone.
-    let faults = faults_spec.map(|s| {
-        FaultPlan::parse(&s, spec.seed).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            usage()
-        })
-    });
-    if let Some(plan) = &faults {
-        println!("fault injection on (seed {}): chaos run, report must not change", plan.seed());
-    }
-
-    let cfg = CampaignConfig { threads, trace_dir, dedup, cache_dir, faults };
+    let cfg = CampaignConfig { threads, trace_dir, dedup, cache_dir };
     let report = run_campaign_with(&spec, &cfg);
     println!(
         "executed {} of {} cells ({} served by dedup or cache)",
@@ -198,14 +193,13 @@ fn main() {
         report.wall_time_s,
         report.threads
     );
-    let path = match &out {
-        Some(dir) => report.write_json_in(dir).expect("write report"),
-        None => report.write_json().expect("write report"),
-    };
+    let dir = out.unwrap_or_else(results_dir);
+    let path = report.write_json_in(&dir).unwrap_or_else(|e| fail(&dir, e));
     println!("wrote {}", path.display());
     if deterministic {
         let det_path = path.with_extension("deterministic.json");
-        std::fs::write(&det_path, report.deterministic_json()).expect("write deterministic report");
+        std::fs::write(&det_path, report.deterministic_json())
+            .unwrap_or_else(|e| fail(&det_path, e));
         println!("wrote {}", det_path.display());
     }
     let traces = report.cells.iter().filter(|c| c.trace_path.is_some()).count();

@@ -10,7 +10,8 @@
 //! and, when the campaign ran with `--trace`, drill-down links to each
 //! cell's Chrome-trace file. See `docs/TRACING.md`.
 
-use std::path::{Path, PathBuf};
+use bwap_bench::fail;
+use std::path::PathBuf;
 
 fn usage() -> ! {
     eprintln!("usage: explorer REPORT.campaign.json [--out PATH.html]");
@@ -49,10 +50,4 @@ fn main() {
         .unwrap_or_else(|e| fail(&report, e));
     std::fs::write(&out, html).unwrap_or_else(|e| fail(&out, e));
     println!("wrote {}", out.display());
-}
-
-/// Report `<path>: <error>` and exit 1 — bad input is an error, not a panic.
-fn fail(path: &Path, e: impl std::fmt::Display) -> ! {
-    eprintln!("{}: {e}", path.display());
-    std::process::exit(1);
 }

@@ -16,6 +16,7 @@
 //! replayed from the on-disk cell cache never ran, so it legally has no
 //! trace — see `docs/PERFORMANCE.md`).
 
+use bwap_bench::fail;
 use std::path::{Path, PathBuf};
 
 fn collect(arg: &str, files: &mut Vec<PathBuf>) {
@@ -31,12 +32,6 @@ fn collect(arg: &str, files: &mut Vec<PathBuf>) {
     } else {
         files.push(p.to_path_buf());
     }
-}
-
-/// Report `<path>: <error>` and exit 1 — bad input is an error, not a panic.
-fn fail(path: &str, e: std::io::Error) -> ! {
-    eprintln!("{path}: {e}");
-    std::process::exit(1);
 }
 
 fn check_report(path: &str) {

@@ -3,7 +3,7 @@
 //! [`SpecArgs`] holds the spec-defining axes of the `campaign` binary in
 //! their raw textual form and [`SpecArgs::build`] turns them into a
 //! validated [`CampaignSpec`]. Executor knobs (threads, trace/cache/output
-//! directories, dedup, fault plans) are not part of the vocabulary:
+//! directories, dedup) are not part of the vocabulary:
 //! [`SpecArgs::apply`] hands them back to the caller, because they never
 //! change a cell's result. Parsing errors are `Err(String)` so the binary
 //! decides how to report them.
@@ -23,8 +23,8 @@ use bwap_workloads::{PhasedWorkload, WorkloadSpec};
 const MAX_FLEET_JOBS: usize = 10_000;
 
 /// The spec-defining subset of the campaign CLI, in textual form.
-/// Executor knobs (threads, trace/cache/output directories, dedup, fault
-/// plans) are deliberately *not* here: they never change results.
+/// Executor knobs (threads, trace/cache/output directories, dedup) are
+/// deliberately *not* here: they never change results.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpecArgs {
     /// `--name` (ad-hoc campaigns).
@@ -333,15 +333,7 @@ mod tests {
     /// the binary parses it and it never reaches the spec.
     #[test]
     fn executor_knobs_are_rejected_by_the_spec_vocabulary() {
-        for knob in [
-            "--threads",
-            "--out",
-            "--trace",
-            "--cache-dir",
-            "--dedup",
-            "--deterministic",
-            "--faults",
-        ] {
+        for knob in ["--threads", "--out", "--trace", "--cache-dir", "--dedup", "--deterministic"] {
             let mut sa = SpecArgs::default();
             let mut value = || -> String { panic!("{knob} must not consume a value") };
             assert_eq!(sa.apply(knob, &mut value), Ok(false), "{knob}");

@@ -53,7 +53,14 @@ pub mod tracecheck;
 
 pub use report::ResultTable;
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+
+/// Print `<path>: <error>` on stderr and exit 1 — how every binary
+/// reports a path it cannot read or write (a panic would exit 101).
+pub fn fail(path: impl AsRef<Path>, e: impl std::fmt::Display) -> ! {
+    eprintln!("{}: {e}", path.as_ref().display());
+    std::process::exit(1);
+}
 
 /// Directory where binaries drop artifacts (`results/` at the repo root,
 /// overridable with `BWAP_RESULTS_DIR`) — shared with the campaign

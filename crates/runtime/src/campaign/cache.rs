@@ -22,20 +22,18 @@
 //!   propagated.
 //! * Writes go through a temp file + atomic rename, so a campaign killed
 //!   mid-write leaves either the old entry or the new one — never a torn
-//!   file. An append-only `journal.log` records every store for
-//!   post-mortems.
+//!   file.
 //!
 //! Floats round-trip through [`f64::to_bits`] hex, so a cached
 //! [`RunResult`] is restored bit-exactly — the report serializer then
 //! necessarily produces the same bytes it would for a fresh run.
+//!
+//! `docs/ROBUSTNESS.md` lists the tests that damage real entries to pin
+//! these rules.
 
-use super::faults::{FaultKind, FaultPlan};
 use crate::scenario::RunResult;
 use bwap::descriptor::{content_hash, CellDescriptor};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// Version tag of the entry file format (independent of the descriptor
 /// format version, which is checked via the embedded descriptor itself).
@@ -46,13 +44,6 @@ const ENTRY_MAGIC: &str = "bwap-cell-cache v2";
 #[derive(Debug, Clone)]
 pub struct CellCache {
     dir: PathBuf,
-    /// Journal appends that failed (filesystem refusals and injected
-    /// [`FaultKind::JournalDrop`]s). Shared across clones so the campaign
-    /// can surface one aggregate warning + report field.
-    journal_errors: Arc<AtomicUsize>,
-    /// Chaos schedule for the filesystem trust boundary (torn writes,
-    /// bit flips, journal loss). `None` in production.
-    faults: Option<FaultPlan>,
 }
 
 impl CellCache {
@@ -60,27 +51,8 @@ impl CellCache {
     /// failure disables the cache rather than failing the campaign: a
     /// read-only filesystem degrades to cold execution.
     pub fn open(dir: &Path) -> Option<CellCache> {
-        Self::open_with(dir, None)
-    }
-
-    /// [`CellCache::open`] with a fault plan injecting filesystem chaos
-    /// (see [`super::faults`]): torn entry writes, entry bit flips, and
-    /// journal loss. Every injected corruption is detected on load as a
-    /// plain miss, so chaos runs stay byte-identical — they just re-execute.
-    pub fn open_with(dir: &Path, faults: Option<FaultPlan>) -> Option<CellCache> {
         std::fs::create_dir_all(dir).ok()?;
-        Some(CellCache {
-            dir: dir.to_path_buf(),
-            journal_errors: Arc::new(AtomicUsize::new(0)),
-            faults,
-        })
-    }
-
-    /// How many journal appends have failed since this cache (or any of
-    /// its clones) opened. The campaign surfaces a non-zero count once as
-    /// a stderr warning and as the volatile `journal_errors` report field.
-    pub fn journal_errors(&self) -> usize {
-        self.journal_errors.load(Ordering::Relaxed)
+        Some(CellCache { dir: dir.to_path_buf() })
     }
 
     /// Path of the entry file for a descriptor.
@@ -99,68 +71,15 @@ impl CellCache {
         (stored_desc == desc.text()).then_some(outcome)
     }
 
-    /// Store an outcome under `desc` via temp file + atomic rename, and
-    /// journal the store. Filesystem refusals are swallowed — caching is
-    /// best-effort by design (journal failures are counted, see
-    /// [`CellCache::journal_errors`]).
+    /// Store an outcome under `desc` via temp file + atomic rename.
+    /// Filesystem refusals are swallowed — caching is best-effort by
+    /// design, and a missing entry only costs a re-execution.
     pub fn store(&self, desc: &CellDescriptor, outcome: &Result<RunResult, String>) {
-        let text = self.corrupted(desc, encode_entry(desc, outcome));
         let tmp = self.dir.join(format!(".tmp-{}-{}", std::process::id(), desc.hash_hex()));
-        if std::fs::write(&tmp, text).is_ok()
-            && std::fs::rename(&tmp, self.entry_path(desc)).is_ok()
+        if std::fs::write(&tmp, encode_entry(desc, outcome)).is_err()
+            || std::fs::rename(&tmp, self.entry_path(desc)).is_err()
         {
-            self.journal(
-                desc.hash_hex().as_str(),
-                &format!(
-                    "store {} {}\n",
-                    desc.hash_hex(),
-                    if outcome.is_ok() { "ok" } else { "err" }
-                ),
-            );
-        } else {
             let _ = std::fs::remove_file(&tmp);
-        }
-    }
-
-    /// Apply any scheduled filesystem corruption to an entry about to be
-    /// written: a torn write keeps only a prefix, a bit flip toggles one
-    /// seed-chosen byte. Either way the next [`CellCache::load`] detects
-    /// the damage and misses.
-    fn corrupted(&self, desc: &CellDescriptor, mut text: String) -> String {
-        let Some(plan) = &self.faults else { return text };
-        let key = desc.hash_hex();
-        if plan.decide(FaultKind::CacheTorn, &key).is_some() {
-            let mut cut = text.len() / 2;
-            while cut > 0 && !text.is_char_boundary(cut) {
-                cut -= 1;
-            }
-            text.truncate(cut);
-        } else if plan.decide(FaultKind::CacheFlip, &key).is_some() && !text.is_empty() {
-            let mut bytes = text.into_bytes();
-            let i = plan.roll(FaultKind::CacheFlip, &key, bytes.len() as u64) as usize;
-            // Flip within printable ASCII so the file stays valid UTF-8
-            // and the corruption is caught by *verification*, not by
-            // accident of string decoding.
-            bytes[i] ^= 0x04;
-            text = String::from_utf8(bytes).unwrap_or_default();
-        }
-        text
-    }
-
-    fn journal(&self, fault_key: &str, line: &str) {
-        if let Some(plan) = &self.faults {
-            if plan.decide(FaultKind::JournalDrop, fault_key).is_some() {
-                self.journal_errors.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        }
-        let appended = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.dir.join("journal.log"))
-            .and_then(|mut f| f.write_all(line.as_bytes()));
-        if appended.is_err() {
-            self.journal_errors.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -440,9 +359,6 @@ mod tests {
         assert_eq!(hit.exec_time_s.to_bits(), result().exec_time_s.to_bits());
         // A different descriptor is a different entry.
         assert!(cache.load(&desc("cell-b")).is_none());
-        // The journal recorded the store.
-        let j = std::fs::read_to_string(dir.join("journal.log")).expect("journal");
-        assert!(j.contains(&format!("store {} ok", d.hash_hex())), "{j}");
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -505,6 +421,40 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
+    /// Every proper prefix of an entry is a miss (a torn write keeps a
+    /// prefix), and so is the entry with one byte inserted at any
+    /// position: an inserted `'0'` lengthens a number or a hex field, an
+    /// inserted `'\n'` splits a line, and neither breaks the text.
+    #[test]
+    fn every_truncation_and_inserted_byte_is_a_miss() {
+        let dir = tmp("splices");
+        let cache = CellCache::open(&dir).expect("open");
+        let d = desc("splice-cell");
+        let path = cache.entry_path(&d);
+        for outcome in [Ok(result()), Err("boom: 0xdeadbeef".to_string())] {
+            let entry = encode_entry(&d, &outcome).into_bytes();
+            std::fs::write(&path, &entry).expect("write");
+            assert!(cache.load(&d).is_some(), "the intact entry hits");
+            for cut in 0..entry.len() {
+                std::fs::write(&path, &entry[..cut]).expect("write");
+                assert!(cache.load(&d).is_none(), "the {cut}-byte prefix still hit");
+            }
+            for at in 0..=entry.len() {
+                for byte in [b'0', b'\n'] {
+                    let mut spliced = entry.clone();
+                    spliced.insert(at, byte);
+                    std::fs::write(&path, &spliced).expect("write");
+                    assert!(
+                        cache.load(&d).is_none(),
+                        "{:?} inserted at byte {at} still hit",
+                        byte as char
+                    );
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
     #[test]
     fn hash_collision_is_detected_via_descriptor_bytes() {
         let dir = tmp("collision");
@@ -514,59 +464,6 @@ mod tests {
         std::fs::write(cache.entry_path(&a), encode_entry(&b, &Ok(result()))).expect("plant");
         assert!(cache.load(&a).is_none(), "foreign descriptor must not alias");
         assert!(cache.load(&b).is_none(), "b's entry lives under a's path, not b's");
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn injected_torn_and_flipped_stores_are_detected_as_misses() {
-        for kind in [FaultKind::CacheTorn, FaultKind::CacheFlip] {
-            let dir = tmp(&format!("fault-{}", kind.label()));
-            let plan = FaultPlan::new(11).with(kind, 1.0);
-            let cache = CellCache::open_with(&dir, Some(plan)).expect("open");
-            let d = desc("chaos-cell");
-            cache.store(&d, &Ok(result()));
-            assert!(
-                cache.load(&d).is_none(),
-                "a {} store must be caught by verification on load",
-                kind.label()
-            );
-            // A clean cache over the same directory also rejects the entry.
-            let clean = CellCache::open(&dir).expect("open clean");
-            assert!(clean.load(&d).is_none());
-            let _ = std::fs::remove_dir_all(dir);
-        }
-    }
-
-    #[test]
-    fn injected_corruption_is_deterministic() {
-        let plan = FaultPlan::new(13).with(FaultKind::CacheFlip, 1.0);
-        let (a, b) = (tmp("det-a"), tmp("det-b"));
-        let d = desc("det-cell");
-        for dir in [&a, &b] {
-            CellCache::open_with(dir, Some(plan.clone())).expect("open").store(&d, &Ok(result()));
-        }
-        let ea = std::fs::read(a.join(format!("{}.cell", d.hash_hex()))).expect("a");
-        let eb = std::fs::read(b.join(format!("{}.cell", d.hash_hex()))).expect("b");
-        assert_eq!(ea, eb, "same plan, same corruption bytes");
-        let _ = std::fs::remove_dir_all(a);
-        let _ = std::fs::remove_dir_all(b);
-    }
-
-    #[test]
-    fn journal_drops_are_counted_not_written() {
-        let dir = tmp("journal-drop");
-        let plan = FaultPlan::new(17).with(FaultKind::JournalDrop, 1.0);
-        let cache = CellCache::open_with(&dir, Some(plan)).expect("open");
-        let d = desc("journal-cell");
-        cache.store(&d, &Ok(result()));
-        assert_eq!(cache.journal_errors(), 1);
-        assert!(!dir.join("journal.log").exists(), "dropped append must not reach disk");
-        // The entry itself is intact — journal loss never corrupts data.
-        assert!(cache.load(&d).is_some());
-        // Clones share the counter.
-        let clone = cache.clone();
-        clone.store(&desc("journal-cell-2"), &Ok(result()));
-        assert_eq!(cache.journal_errors(), 2);
         let _ = std::fs::remove_dir_all(dir);
     }
 

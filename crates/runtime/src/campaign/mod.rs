@@ -35,13 +35,11 @@
 pub mod cache;
 pub mod descriptor;
 pub mod executor;
-pub mod faults;
 pub mod report;
 
 pub use cache::CellCache;
 pub use descriptor::{cell_descriptor, effective_policy};
 pub use executor::{run_parallel, run_parallel_catch, run_parallel_with};
-pub use faults::{Fault, FaultKind, FaultPlan};
 pub use report::{results_dir, CampaignReport, CellRecord, NodeTierRecord, SCHEMA_VERSION};
 
 use crate::baselines::PlacementPolicy;
@@ -481,22 +479,11 @@ pub struct CampaignConfig {
     /// elsewhere against the same directory fill it for the full spec
     /// the same way (`docs/ROBUSTNESS.md`).
     pub cache_dir: Option<PathBuf>,
-    /// Seeded chaos schedule (see [`faults`]): injects cache corruption,
-    /// delayed cells and panicking cells into this run. `None` (the
-    /// default) in production. Recoverable faults never change the
-    /// deterministic report — see `docs/ROBUSTNESS.md`.
-    pub faults: Option<FaultPlan>,
 }
 
 impl Default for CampaignConfig {
     fn default() -> Self {
-        CampaignConfig {
-            threads: None,
-            trace_dir: None,
-            dedup: true,
-            cache_dir: None,
-            faults: None,
-        }
+        CampaignConfig { threads: None, trace_dir: None, dedup: true, cache_dir: None }
     }
 }
 
@@ -524,6 +511,21 @@ pub fn run_campaign(spec: &CampaignSpec) -> CampaignReport {
 ///    deterministic report is byte-identical to a fully cold,
 ///    dedup-disabled run.
 pub fn run_campaign_with(spec: &CampaignSpec, cfg: &CampaignConfig) -> CampaignReport {
+    run_campaign_using(spec, cfg, run_cell)
+}
+
+/// [`run_campaign_with`] over an explicit cell runner, called once per
+/// executed class. Production passes [`run_cell`]; the parameter exists
+/// so a test can substitute a runner that panics on a chosen cell.
+fn run_campaign_using<R>(spec: &CampaignSpec, cfg: &CampaignConfig, run: R) -> CampaignReport
+where
+    R: Fn(
+            &CampaignSpec,
+            &CellSpec,
+            Option<&mut Option<TraceSink>>,
+        ) -> Result<RunResult, RuntimeError>
+        + Sync,
+{
     let t0 = std::time::Instant::now();
     let bw_matrix = spec.probe_bandwidth.then(|| bwap_fabric::probe_matrix(&spec.machine));
     // Heterogeneous machines carry their tier axis into the report;
@@ -574,7 +576,7 @@ pub fn run_campaign_with(spec: &CampaignSpec, cfg: &CampaignConfig) -> CampaignR
     // Replay whatever the persistent cache already holds, then execute
     // only the remaining classes. `(outcome, trace_path, cache_hit)`.
     type ClassOutcome = (Result<RunResult, String>, Option<String>, bool);
-    let cache = cfg.cache_dir.as_deref().and_then(|d| CellCache::open_with(d, cfg.faults.clone()));
+    let cache = cfg.cache_dir.as_deref().and_then(CellCache::open);
     let mut class_outcomes: Vec<Option<ClassOutcome>> = reps
         .iter()
         .map(|&rep| cache.as_ref().and_then(|c| c.load(&descs[rep])).map(|o| (o, None, true)))
@@ -582,23 +584,15 @@ pub fn run_campaign_with(spec: &CampaignSpec, cfg: &CampaignConfig) -> CampaignR
     let pending: Vec<usize> = (0..reps.len()).filter(|&k| class_outcomes[k].is_none()).collect();
     let executed_cells = pending.len();
     let threads_used = executor::effective_workers(cfg.threads, executed_cells);
+    let run = &run;
     let jobs: Vec<_> = pending
         .iter()
         .map(|&k| {
             let cell = cells[reps[k]].clone();
             let trace_dir = cfg.trace_dir.clone();
-            let faults = cfg.faults.clone();
             move || {
-                if let Some(plan) = &faults {
-                    if let Some(f) = plan.decide(FaultKind::CellDelay, &cell.key) {
-                        std::thread::sleep(std::time::Duration::from_millis(f.param_ms));
-                    }
-                    if plan.decide(FaultKind::CellPanic, &cell.key).is_some() {
-                        panic!("injected cell-panic fault at {}", cell.key);
-                    }
-                }
                 let mut sink = None;
-                let outcome = run_cell(spec, &cell, trace_dir.is_some().then_some(&mut sink));
+                let outcome = run(spec, &cell, trace_dir.is_some().then_some(&mut sink));
                 let trace_path = match (&trace_dir, sink) {
                     (Some(dir), Some(sink)) => write_trace(dir, &cell.key, &sink),
                     _ => None,
@@ -610,7 +604,7 @@ pub fn run_campaign_with(spec: &CampaignSpec, cfg: &CampaignConfig) -> CampaignR
     // Panic isolation: a poisoned cell becomes an error cell for its
     // whole dedup class instead of killing the campaign. Panicked
     // outcomes are *never* cached — a later warm run must re-execute,
-    // not replay an injected failure.
+    // not replay the failure.
     let fresh = run_parallel_catch(cfg.threads, jobs);
     for (&k, caught) in pending.iter().zip(fresh) {
         class_outcomes[k] = Some(match caught {
@@ -622,14 +616,6 @@ pub fn run_campaign_with(spec: &CampaignSpec, cfg: &CampaignConfig) -> CampaignR
             }
             Err(panic_msg) => (Err(format!("cell panicked: {panic_msg}")), None, false),
         });
-    }
-    let journal_errors = cache.as_ref().map_or(0, |c| c.journal_errors());
-    if journal_errors > 0 {
-        eprintln!(
-            "warning: campaign {:?}: {journal_errors} cache journal append(s) failed \
-             (cache entries are unaffected; post-mortem journal is incomplete)",
-            spec.name
-        );
     }
 
     // Fan each class outcome out to its members. Cloned results are
@@ -683,7 +669,6 @@ pub fn run_campaign_with(spec: &CampaignSpec, cfg: &CampaignConfig) -> CampaignR
         engine_mode: (spec.sim_cfg.mode != EngineMode::default())
             .then(|| spec.sim_cfg.mode.label().to_string()),
         executed_cells,
-        journal_errors,
         bw_matrix,
         node_tiers,
         cells: records,
@@ -1026,67 +1011,58 @@ mod tests {
     }
 
     #[test]
-    fn injected_cell_panics_become_error_cells_and_never_poison_the_cache() {
+    fn a_panicking_cell_fails_its_whole_class_and_is_never_cached() {
         let dir =
             std::env::temp_dir().join(format!("bwap-campaign-panic-unit-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let spec = small_spec();
+        // The same workload listed twice: each cell of the first copy
+        // shares its dedup class with its twin in the second.
+        let sc = bwap_workloads::streamcluster().scaled_down(32.0);
+        let spec = small_spec()
+            .workloads(vec![sc.clone(), sc])
+            .scenarios(vec![ScenarioKind::Standalone])
+            .worker_counts(vec![1]);
         let baseline = run_campaign_with(&spec, &CampaignConfig::default());
-        // Panic exactly one representative, deterministically: pick the
-        // first cell's key at rate 1.0 via a plan that only knows it.
-        let victim = spec.cells()[0].key.clone();
-        let plan = FaultPlan::new(spec.seed).with(FaultKind::CellPanic, 1.0);
-        let chaos_cfg = CampaignConfig {
-            cache_dir: Some(dir.clone()),
-            faults: Some(plan.clone()),
-            ..Default::default()
+        let cells = spec.cells();
+        let victim = cells[0].key.clone();
+        let victim_desc = cell_descriptor(&spec, &cells[0]);
+        let class: Vec<usize> = cells
+            .iter()
+            .filter(|c| cell_descriptor(&spec, c).text() == victim_desc.text())
+            .map(|c| c.id)
+            .collect();
+        assert!(class.len() >= 2, "the victim's class has several members: {class:?}");
+
+        let cfg =
+            CampaignConfig { threads: Some(2), cache_dir: Some(dir.clone()), ..Default::default() };
+        let faulty = run_campaign_using(&spec, &cfg, |spec, cell, trace| {
+            if cell.key == victim {
+                panic!("test runner panics at {}", cell.key);
+            }
+            run_cell(spec, cell, trace)
+        });
+        assert_eq!(faulty.cells.len(), baseline.cells.len());
+        for &id in &class {
+            let err = faulty.cells[id].outcome.as_ref().unwrap_err();
+            assert!(err.contains("cell panicked") && err.contains(&victim), "{err}");
+        }
+        // Every other cell is untouched, down to its serialized bits.
+        let others = |r: &CampaignReport| {
+            let mut r = r.clone();
+            r.cells.retain(|c| !class.contains(&c.id));
+            r.deterministic_json()
         };
-        let chaos = run_campaign_with(&spec, &chaos_cfg);
-        assert_eq!(chaos.cells.len(), baseline.cells.len());
-        let err = chaos.cells[0].outcome.as_ref().unwrap_err();
-        assert!(err.contains("cell panicked"), "{err}");
-        assert!(err.contains(&victim), "{err}");
-        // Every cell whose class representative panicked shares the error;
-        // at rate 1.0 that is every cell — nothing escaped, nothing died.
-        assert!(chaos.cells.iter().all(|c| c.outcome.is_err()));
-        // Panicked outcomes must never reach the cache: a fault-free rerun
-        // over the same directory re-executes and matches the baseline.
-        let clean_cfg = CampaignConfig { cache_dir: Some(dir.clone()), ..Default::default() };
-        let healed = run_campaign_with(&spec, &clean_cfg);
-        assert_eq!(healed.executed_cells, baseline.executed_cells, "no poisoned cache entries");
-        assert_eq!(healed.deterministic_json(), baseline.deterministic_json());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn delayed_cells_change_nothing_but_wall_time() {
-        let spec = small_spec().worker_counts(vec![1]).scenarios(vec![ScenarioKind::Standalone]);
-        let baseline = run_campaign_with(&spec, &CampaignConfig::default());
-        let plan = FaultPlan::new(spec.seed).with_param(FaultKind::CellDelay, 1.0, 1);
-        let delayed =
-            run_campaign_with(&spec, &CampaignConfig { faults: Some(plan), ..Default::default() });
-        assert_eq!(baseline.deterministic_json(), delayed.deterministic_json());
-    }
-
-    #[test]
-    fn journal_faults_surface_in_the_report_but_not_its_deterministic_bytes() {
-        let dir =
-            std::env::temp_dir().join(format!("bwap-campaign-journal-unit-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let spec = small_spec().worker_counts(vec![1]).scenarios(vec![ScenarioKind::Standalone]);
-        let baseline = run_campaign_with(&spec, &CampaignConfig::default());
-        let plan = FaultPlan::new(spec.seed).with(FaultKind::JournalDrop, 1.0);
-        let lossy = run_campaign_with(
+        assert_eq!(others(&faulty), others(&baseline));
+        // The panic never reached the cache: a plain rerun over the same
+        // directory executes exactly the victim's class and heals.
+        let cache = CellCache::open(&dir).expect("open");
+        assert!(cache.load(&victim_desc).is_none(), "a panicked outcome is never stored");
+        let healed = run_campaign_with(
             &spec,
-            &CampaignConfig {
-                cache_dir: Some(dir.clone()),
-                faults: Some(plan),
-                ..Default::default()
-            },
+            &CampaignConfig { cache_dir: Some(dir.clone()), ..Default::default() },
         );
-        assert!(lossy.journal_errors > 0);
-        assert!(lossy.to_json().contains("\"journal_errors\""));
-        assert_eq!(baseline.deterministic_json(), lossy.deterministic_json());
+        assert_eq!(healed.executed_cells, 1);
+        assert_eq!(healed.deterministic_json(), baseline.deterministic_json());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

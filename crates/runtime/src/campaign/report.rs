@@ -128,11 +128,6 @@ pub struct CampaignReport {
     /// classes and the cache replayed stored ones) — volatile provenance;
     /// a fully warm rerun reports 0 here.
     pub executed_cells: usize,
-    /// Cache journal appends that failed during the run (filesystem
-    /// refusals or injected faults). Volatile provenance, emitted only
-    /// when non-zero (omitted, not null): journal loss never affects
-    /// results, so the deterministic report ignores it entirely.
-    pub journal_errors: usize,
     /// Probed node-to-node bandwidth matrix, if the spec requested
     /// installation-time profiling (Fig. 1a).
     pub bw_matrix: Option<BwMatrix>,
@@ -191,9 +186,6 @@ impl CampaignReport {
             field(&mut s, 1, "threads", &self.threads.to_string());
             field(&mut s, 1, "wall_time_s", &json_f64(self.wall_time_s));
             field(&mut s, 1, "executed_cells", &self.executed_cells.to_string());
-            if self.journal_errors > 0 {
-                field(&mut s, 1, "journal_errors", &self.journal_errors.to_string());
-            }
             if let Some(mode) = &self.engine_mode {
                 field(&mut s, 1, "engine_mode", &json_str(mode));
             }
@@ -505,7 +497,6 @@ mod tests {
             wall_time_s: 0.25,
             engine_mode: None,
             executed_cells: cells.len(),
-            journal_errors: 0,
             bw_matrix: None,
             node_tiers: None,
             cells,
@@ -668,17 +659,6 @@ mod tests {
         assert!(j.contains("\"cache_hit\": true"));
         assert!(j.contains("\"executed_cells\": 0"));
         assert_eq!(cold.deterministic_json(), warm.deterministic_json());
-    }
-
-    #[test]
-    fn journal_errors_are_volatile_and_omitted_when_zero() {
-        let clean = report(vec![record(0, Ok(result()))]);
-        assert!(!clean.to_json().contains("journal_errors"), "omitted, not null");
-        let mut lossy = clean.clone();
-        lossy.journal_errors = 3;
-        assert!(lossy.to_json().contains("\"journal_errors\": 3"));
-        // Journal loss never touches results: deterministic payloads match.
-        assert_eq!(clean.deterministic_json(), lossy.deterministic_json());
     }
 
     #[test]

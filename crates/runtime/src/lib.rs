@@ -52,7 +52,7 @@ pub use bwap_daemon::{BwapDaemon, TunerHandle};
 pub use campaign::{
     cell_descriptor, effective_policy, run_campaign, run_campaign_with, run_cell_for, run_parallel,
     run_parallel_catch, run_parallel_with, CampaignConfig, CampaignReport, CampaignSpec, CellCache,
-    CellRecord, DwpPoint, Fault, FaultKind, FaultPlan, FleetAxis, NodeTierRecord, ScenarioKind,
+    CellRecord, DwpPoint, FleetAxis, NodeTierRecord, ScenarioKind,
 };
 pub use cosched_daemon::CoschedDaemon;
 pub use error::RuntimeError;

@@ -182,6 +182,10 @@ impl PhasedWorkload {
     /// Shrink for fast tests: divide the traffic total and every phase's
     /// page counts by `factor` (durations are left alone — override them
     /// through the `phase_period` axis or [`PhasedWorkload::with_period`]).
+    ///
+    /// # Panics
+    ///
+    /// If `factor` is below 1 or NaN.
     pub fn scaled_down(mut self, factor: f64) -> Self {
         assert!(factor >= 1.0, "factor must be >= 1");
         self.total_traffic_gb /= factor;
@@ -196,6 +200,10 @@ impl PhasedWorkload {
     /// the `phase_period` campaign axis (identical semantics, so a
     /// workload baked with `with_period(p)` and one run at axis point `p`
     /// behave the same).
+    ///
+    /// # Panics
+    ///
+    /// If `period_s` is not positive and finite.
     pub fn with_period(mut self, period_s: f64) -> Self {
         assert!(period_s > 0.0 && period_s.is_finite(), "period must be positive");
         let scale = period_s / self.cycle_s();

@@ -95,6 +95,10 @@ impl WorkloadSpec {
 
     /// Shrink the workload for fast (debug-build) tests: divide the total
     /// traffic and page counts by `factor`, keeping all ratios intact.
+    ///
+    /// # Panics
+    ///
+    /// If `factor` is below 1 or NaN.
     pub fn scaled_down(mut self, factor: f64) -> Self {
         assert!(factor >= 1.0, "factor must be >= 1");
         self.total_traffic_gb /= factor;
@@ -108,6 +112,10 @@ impl WorkloadSpec {
     /// is the quick-mode scaling for capacity-pressure variants: dividing
     /// their page counts (as [`WorkloadSpec::scaled_down`] does) would
     /// remove the very pressure they exist to exert.
+    ///
+    /// # Panics
+    ///
+    /// If `factor` is below 1 or NaN.
     pub fn scaled_down_traffic(mut self, factor: f64) -> Self {
         assert!(factor >= 1.0, "factor must be >= 1");
         self.total_traffic_gb /= factor;
@@ -119,6 +127,12 @@ impl WorkloadSpec {
 mod tests {
     use crate::apps;
     use bwap_topology::machines;
+
+    #[test]
+    #[should_panic(expected = "factor must be >= 1")]
+    fn nan_scale_factor_panics() {
+        let _ = apps::streamcluster().scaled_down(f64::NAN);
+    }
 
     #[test]
     fn profiles_validate_on_both_machines() {

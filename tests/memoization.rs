@@ -1,13 +1,13 @@
 //! Integration tests for content-addressed campaign memoization: golden
 //! byte-identity with dedup on/off and cache cold/warm, kill-and-resume
 //! (a partially populated cache completes to the exact same bytes),
-//! corrupt-cache tolerance, and one campaign split over several runs
+//! damaged-cache tolerance, and one campaign split over several runs
 //! that share a cache directory.
 
 use bwap_bench::cli::SpecArgs;
 use bwap_bench::experiments::{dwp_dedup_spec, fig4_spec};
 use bwap_runtime::{run_campaign_with, CampaignConfig, CampaignSpec};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn tmp(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("bwap-memo-test-{tag}-{}", std::process::id()));
@@ -56,13 +56,7 @@ fn killed_campaign_resumes_to_byte_identical_report() {
 
     // "Kill" the first run after some cells completed: drop every other
     // stored entry.
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(&cache_dir)
-        .expect("cache dir")
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "cell"))
-        .collect();
-    entries.sort();
+    let entries = cache_entries(&cache_dir);
     assert_eq!(entries.len(), full.executed_cells, "one entry per executed class");
     let removed: Vec<&PathBuf> = entries.iter().step_by(2).collect();
     for path in &removed {
@@ -79,8 +73,31 @@ fn killed_campaign_resumes_to_byte_identical_report() {
     let _ = std::fs::remove_dir_all(cache_dir);
 }
 
-/// Cache corruption (torn writes, stray files, version skew) silently
-/// degrades to re-execution — never to a wrong or failing report.
+/// The stored `.cell` entries of a cache directory, sorted by name.
+fn cache_entries(dir: &Path) -> Vec<PathBuf> {
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("cache dir")
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "cell"))
+        .collect();
+    entries.sort();
+    entries
+}
+
+/// Replace the last hex digit of an entry's `exec_time_s` line with a
+/// different one. The file stays well-formed text, so only the entry
+/// checksum tells it from a stored result that really was this number.
+fn change_exec_time_digit(entry: &str) -> String {
+    let at = entry.find("\nexec_time_s ").expect("an ok entry") + 1;
+    let end = at + entry[at..].find('\n').expect("line end");
+    let other = if entry.as_bytes()[end - 1] == b'0' { '1' } else { '0' };
+    format!("{}{other}{}", &entry[..end - 1], &entry[end..])
+}
+
+/// Cache damage (stray garbage, a torn write, a changed result digit)
+/// degrades to re-execution of exactly the damaged entries — never to a
+/// wrong or failing report — and the rerun heals the cache.
 #[test]
 fn corrupt_cache_entries_degrade_to_reexecution() {
     let spec = dwp_dedup_spec(true);
@@ -88,27 +105,27 @@ fn corrupt_cache_entries_degrade_to_reexecution() {
     let cfg = CampaignConfig { cache_dir: Some(cache_dir.clone()), ..Default::default() };
     let reference = det(&spec, &cfg);
 
-    for (i, entry) in std::fs::read_dir(&cache_dir)
-        .expect("cache dir")
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "cell"))
-        .enumerate()
-    {
-        match i % 3 {
-            0 => std::fs::write(&entry, "garbage, not an entry").expect("corrupt"),
-            1 => {
-                let text = std::fs::read_to_string(&entry).expect("entry");
-                std::fs::write(&entry, &text[..text.len() / 3]).expect("truncate");
-            }
-            _ => {} // leave valid
-        }
+    let mut damaged = 0;
+    for (i, entry) in cache_entries(&cache_dir).iter().enumerate() {
+        let text = std::fs::read_to_string(entry).expect("entry");
+        let damage = match i % 4 {
+            0 => "garbage, not an entry".to_string(),
+            1 => text[..text.len() / 3].to_string(),
+            2 => change_exec_time_digit(&text),
+            _ => continue, // leave valid
+        };
+        std::fs::write(entry, damage).expect("damage");
+        damaged += 1;
     }
+    assert!(damaged > 0);
 
     let recovered = run_campaign_with(&spec, &cfg);
-    assert!(recovered.executed_cells > 0, "corrupt entries must re-execute");
+    assert_eq!(recovered.executed_cells, damaged, "exactly the damaged entries re-execute");
     assert!(recovered.cells.iter().all(|c| c.outcome.is_ok()));
     assert_eq!(reference, recovered.deterministic_json());
+    let warm = run_campaign_with(&spec, &cfg);
+    assert_eq!(warm.executed_cells, 0, "the rerun stored every damaged entry again");
+    assert_eq!(reference, warm.deterministic_json());
     let _ = std::fs::remove_dir_all(cache_dir);
 }
 
