@@ -34,8 +34,8 @@
 //! `--cache-dir` fill it for the full spec, which then replays every
 //! cell (`docs/ROBUSTNESS.md`). `--deterministic` additionally writes the
 //! volatile-free report (`*.deterministic.json`) for byte-for-byte
-//! comparison in CI. A report that cannot be written is reported as
-//! `<path>: <error>` with exit 1.
+//! comparison in CI. A report that cannot be written, or a `--cache-dir`
+//! that cannot be created, is reported as `<path>: <error>` with exit 1.
 
 use bwap_bench::cli::SpecArgs;
 use bwap_bench::{fail, results_dir, ResultTable};
@@ -154,6 +154,11 @@ fn main() {
         eprintln!("{e}");
         usage()
     });
+    // The library runs cold when the cache directory cannot be created;
+    // on the command line that is a mistake to report, not to absorb.
+    if let Some(dir) = &cache_dir {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| fail(dir, e));
+    }
     let n_cells = spec.cells().len();
     println!("campaign {:?}: {n_cells} cells on {}", spec.name, spec.machine.name());
 

@@ -124,6 +124,20 @@ fn campaign_reports_an_unwritable_output_directory() {
 }
 
 #[test]
+fn campaign_reports_an_unusable_cache_directory() {
+    // The run used to go ahead without the cache, exit 0 and say
+    // nothing, so every rerun executed every cell again.
+    let (file, cache) = under_a_file("campaign-cache");
+    let out = tmp("campaign-cache-out");
+    assert_reports(
+        campaign().arg("--quick").arg("--cache-dir").arg(&cache).arg("--out").arg(&out),
+        &cache,
+    );
+    assert!(!out.exists(), "no cell runs and no report is written");
+    let _ = std::fs::remove_file(&file);
+}
+
+#[test]
 fn campaign_reports_an_unwritable_deterministic_report() {
     // A directory squats on the deterministic report's path, so only
     // the second write fails.

@@ -106,7 +106,7 @@ pub struct MaxminScratch {
 }
 
 /// Result of [`solve_maxmin`].
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Allocation {
     /// Activity level per bundle (same order as input).
     pub activity: Vec<f64>,
@@ -117,23 +117,6 @@ pub struct Allocation {
     pub binding: Vec<Option<usize>>,
     /// Total usage per resource after allocation.
     pub used: Vec<f64>,
-}
-
-impl Clone for Allocation {
-    fn clone(&self) -> Self {
-        Allocation {
-            activity: self.activity.clone(),
-            binding: self.binding.clone(),
-            used: self.used.clone(),
-        }
-    }
-
-    /// Copies into `self`'s existing buffers.
-    fn clone_from(&mut self, src: &Self) {
-        self.activity.clone_from(&src.activity);
-        self.binding.clone_from(&src.binding);
-        self.used.clone_from(&src.used);
-    }
 }
 
 impl Allocation {

@@ -78,24 +78,12 @@ struct GroupHeader {
 
 /// Solver result: per-group outcomes plus the raw allocation for resource
 /// utilization diagnostics.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct SolveResult {
     /// One outcome per input group, same order.
     pub outcomes: Vec<GroupOutcome>,
     /// Raw allocation (resource usage vector, bindings by dense index).
     pub allocation: Allocation,
-}
-
-impl Clone for SolveResult {
-    fn clone(&self) -> Self {
-        SolveResult { outcomes: self.outcomes.clone(), allocation: self.allocation.clone() }
-    }
-
-    /// Copies into `self`'s existing buffers.
-    fn clone_from(&mut self, src: &Self) {
-        self.outcomes.clone_from(&src.outcomes);
-        self.allocation.clone_from(&src.allocation);
-    }
 }
 
 impl SolveResult {

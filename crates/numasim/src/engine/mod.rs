@@ -12,9 +12,13 @@
 //!    1–3 form the epoch's *plan*: an epoch that starts from the same
 //!    controller utilization, bit for bit, as one of the last four plans,
 //!    with no migration queued and no process input changed since that
-//!    plan was stored, copies it into place instead of rebuilding it;
-//! 4. advances progress, accounts stall cycles and per-flow counters, and
-//!    completes migrations;
+//!    plan was stored, reads it where it is stored instead of rebuilding
+//!    it;
+//! 4. advances progress, accounts stall cycles and per-flow counters by
+//!    replaying the plan's accounting tape (the increments of an epoch in
+//!    which no process finishes, recorded once per plan; a finishing
+//!    process computes its partial epoch afresh), and completes
+//!    migrations;
 //! 5. fires due daemons (AutoNUMA, tuners, monitors).
 //!
 //! Everything is deterministic: identical inputs give identical traces.
@@ -36,6 +40,7 @@ use bwap_fabric::{
     ControllerModel, DemandSet, FlowDemand, ResourceTable, SolveResult, SolveScratch,
 };
 use bwap_topology::{MachineTopology, NodeId, NodeSet, PAGE_SIZE};
+use std::ops::Range;
 
 /// Workload characterization of an application (the simulated analogue of
 /// the paper's Table I plus scalability traits).
@@ -217,7 +222,7 @@ const PLAN_SLOTS: usize = 4;
 #[derive(Default)]
 struct EpochPlan {
     /// `(pid, meta)` per application group, parallel to the first groups
-    /// of `solved`.
+    /// of `solved`. A process's groups are contiguous, in pid order.
     app_meta: Vec<(ProcessId, demand::GroupMeta)>,
     /// Arena of per-group traffic-share vectors
     /// ([`demand::GroupMeta::share_off`] indexes into it).
@@ -226,17 +231,12 @@ struct EpochPlan {
     solved: SolveResult,
     /// Controller utilization per node under that allocation.
     util: Vec<f64>,
+    /// Stage 4's counter updates for an epoch in which no process
+    /// finishes, recorded once per plan.
+    tape: AccountingTape,
 }
 
 impl EpochPlan {
-    /// Copy `src` into `self`'s existing buffers.
-    fn copy_from(&mut self, src: &EpochPlan) {
-        self.app_meta.clone_from(&src.app_meta);
-        self.shares.clone_from(&src.shares);
-        self.solved.clone_from(&src.solved);
-        self.util.clone_from(&src.util);
-    }
-
     /// Whether `self` and `other` hold the same bits.
     fn bitwise_eq(&self, other: &EpochPlan) -> bool {
         self.app_meta.len() == other.app_meta.len()
@@ -248,6 +248,151 @@ impl EpochPlan {
             && bits_eq(&self.shares, &other.shares)
             && self.solved.bitwise_eq(&other.solved)
             && bits_eq(&self.util, &other.util)
+            && self.tape.bitwise_eq(&other.tape)
+    }
+
+    /// Progress rate of the app groups `groups` (one process's), GB/s.
+    fn rate_gbps(&self, groups: Range<usize>) -> f64 {
+        groups.map(|gi| self.solved.outcomes[gi].activity * self.app_meta[gi].1.demand_gbps).sum()
+    }
+
+    /// Stage 4's counter updates for the app groups `groups` (one
+    /// process's, running `profile`) over `dt_eff` seconds, in the order
+    /// they are applied: each group's cycles, then its flows. Both the
+    /// tape and the epoch a process finishes in take them from here.
+    fn increments(
+        &self,
+        groups: Range<usize>,
+        profile: &AppProfile,
+        dt_eff: f64,
+        n: usize,
+        mut emit: impl FnMut(Increment),
+    ) {
+        let alpha = profile.latency_sensitivity;
+        // One division per process, not one per group per node.
+        let read_frac = {
+            let tot = profile.read_gbps_per_thread + profile.write_gbps_per_thread;
+            if tot > 0.0 {
+                profile.read_gbps_per_thread / tot
+            } else {
+                1.0
+            }
+        };
+        for gi in groups {
+            let meta = &self.app_meta[gi].1;
+            let u = self.solved.outcomes[gi].activity;
+            let stall = demand::stall_fraction(u, alpha, meta.latency_factor);
+            let cycles = meta.cycle_threads * CLOCK_HZ * dt_eff;
+            emit(Increment::Cycles { cycles, stall: stall * cycles });
+            let node_bytes = u * meta.demand_gbps * 1e9 * dt_eff;
+            let share = &self.shares[meta.share_off..meta.share_off + n];
+            for (i, &share_i) in share.iter().enumerate() {
+                if share_i > 1e-12 {
+                    emit(Increment::Flow {
+                        src: i as u16,
+                        dst: meta.node as u16,
+                        read: node_bytes * share_i * read_frac,
+                        write: node_bytes * share_i * (1.0 - read_frac),
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// One counter update of stage 4.
+#[derive(Clone, Copy)]
+enum Increment {
+    /// A group's cycles and stall cycles.
+    Cycles { cycles: f64, stall: f64 },
+    /// Bytes threads on node `dst` read from and wrote to memory on `src`.
+    Flow { src: u16, dst: u16, read: f64, write: f64 },
+}
+
+impl Increment {
+    fn apply(self, counters: &mut PerfCounters, pid: ProcessId) {
+        match self {
+            Increment::Cycles { cycles, stall } => counters.record_cycles(pid, cycles, stall),
+            Increment::Flow { src, dst, read, write } => {
+                counters.record_flow(pid, src.into(), dst.into(), read, write)
+            }
+        }
+    }
+
+    /// The variant and every field, floats as bits.
+    fn bits(self) -> (bool, u16, u16, u64, u64) {
+        match self {
+            Increment::Cycles { cycles, stall } => (false, 0, 0, cycles.to_bits(), stall.to_bits()),
+            Increment::Flow { src, dst, read, write } => {
+                (true, src, dst, read.to_bits(), write.to_bits())
+            }
+        }
+    }
+}
+
+/// Stage 4 of an epoch in which no process finishes (`dt_eff == dt`),
+/// computed once when its plan is built: each process's progress rate
+/// and counter updates. Replaying it hands every accumulator the floats
+/// a recomputation would, in the same order.
+#[derive(Default)]
+struct AccountingTape {
+    /// One entry per process with app groups, in pid order.
+    procs: Vec<TapeProc>,
+    /// Every process's increments, back to back.
+    incs: Vec<Increment>,
+}
+
+/// One process's part of an [`AccountingTape`]. Its app groups and
+/// increments start where the previous entry's end.
+struct TapeProc {
+    pid: ProcessId,
+    /// Progress rate, GB/s.
+    rate_gbps: f64,
+    /// Exclusive end of its groups in [`EpochPlan::app_meta`].
+    groups_end: usize,
+    /// Exclusive end of its increments in [`AccountingTape::incs`].
+    incs_end: usize,
+}
+
+impl AccountingTape {
+    /// Record `plan`'s accounting for processes `procs` over `dt` seconds
+    /// on an `n`-node machine.
+    fn record(&mut self, plan: &EpochPlan, procs: &[SimProcess], dt: f64, n: usize) {
+        self.procs.clear();
+        self.incs.clear();
+        let mut start = 0;
+        while start < plan.app_meta.len() {
+            let pid = plan.app_meta[start].0;
+            debug_assert!(
+                self.procs.last().map_or(true, |e| e.pid < pid),
+                "groups out of pid order"
+            );
+            let end = plan.app_meta[start..]
+                .iter()
+                .position(|(q, _)| *q != pid)
+                .map_or(plan.app_meta.len(), |k| start + k);
+            plan.increments(start..end, &procs[pid.0].profile, dt, n, |inc| self.incs.push(inc));
+            self.procs.push(TapeProc {
+                pid,
+                rate_gbps: plan.rate_gbps(start..end),
+                groups_end: end,
+                incs_end: self.incs.len(),
+            });
+            start = end;
+        }
+    }
+
+    /// Whether `self` and `other` hold the same bits.
+    fn bitwise_eq(&self, other: &AccountingTape) -> bool {
+        self.procs.len() == other.procs.len()
+            && self.procs.iter().zip(&other.procs).all(|(a, b)| {
+                a.pid == b.pid
+                    && a.rate_gbps.to_bits() == b.rate_gbps.to_bits()
+                    && a.groups_end == b.groups_end
+                    && a.incs_end == b.incs_end
+            })
+            && self.incs.len() == other.incs.len()
+            && self.incs.iter().zip(&other.incs).all(|(a, b)| a.bits() == b.bits())
     }
 }
 
@@ -256,17 +401,29 @@ fn bits_eq(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// The last [`PLAN_SLOTS`] epoch plans, most recently used first, each keyed
-/// by the controller utilization it was built from. A plan is a pure
-/// function of that utilization and of the running processes' inputs
-/// (profile, threads, page distributions), so while the latter stay
-/// unchanged a bitwise-equal key has a bitwise-equal plan.
+/// The last [`PLAN_SLOTS`] epoch plans, each keyed by the controller
+/// utilization it was built from. A plan is a pure function of that
+/// utilization and of the running processes' inputs (profile, threads,
+/// page distributions), so while the latter stay unchanged a
+/// bitwise-equal key has a bitwise-equal plan. Plans are read and built
+/// where they are stored.
 #[derive(Default)]
 struct PlanMemo {
-    /// `(utilization, plan)`; the first `live` hold stored plans, the rest
-    /// are spare buffers.
-    slots: Vec<(Vec<f64>, EpochPlan)>,
+    /// The first `live` hold stored plans, the rest are spare buffers.
+    slots: Vec<MemoSlot>,
     live: usize,
+    /// Hits and stores so far.
+    uses: u64,
+}
+
+#[derive(Default)]
+struct MemoSlot {
+    /// The utilization the plan was built from.
+    key: Vec<f64>,
+    /// [`PlanMemo::uses`] at the slot's last hit or store: the smallest
+    /// marks the least recently used.
+    used: u64,
+    plan: EpochPlan,
 }
 
 impl PlanMemo {
@@ -275,31 +432,35 @@ impl PlanMemo {
         self.live = 0;
     }
 
-    /// Copy the plan built from utilization bitwise equal to `util` into
-    /// `out`. Returns false, leaving `out` as it was, when none is stored.
-    fn lookup_into(&mut self, util: &[f64], out: &mut EpochPlan) -> bool {
-        let Some(i) = self.slots[..self.live].iter().position(|(key, _)| bits_eq(key, util)) else {
-            return false;
-        };
-        self.slots[..=i].rotate_right(1);
-        out.copy_from(&self.slots[0].1);
-        true
+    /// The slot of the plan built from utilization bitwise equal to
+    /// `util`, now the most recently used; `None` when none is stored.
+    fn lookup(&mut self, util: &[f64]) -> Option<usize> {
+        let i = self.slots[..self.live].iter().position(|s| bits_eq(&s.key, util))?;
+        self.uses += 1;
+        self.slots[i].used = self.uses;
+        Some(i)
     }
 
-    /// Keep `plan`, built from `util`, in place of the least recently used
-    /// one.
-    fn store(&mut self, util: &[f64], plan: &EpochPlan) {
-        if self.live < PLAN_SLOTS {
+    /// A slot, keyed by `util` and marked most recently used, for the
+    /// caller to build that utilization's plan into: a spare one while
+    /// fewer than [`PLAN_SLOTS`] plans are stored, else the least
+    /// recently used.
+    fn claim(&mut self, util: &[f64]) -> usize {
+        let i = if self.live < PLAN_SLOTS {
             if self.slots.len() == self.live {
-                self.slots.push(Default::default());
+                self.slots.push(MemoSlot::default());
             }
             self.live += 1;
-        }
-        self.slots[..self.live].rotate_right(1);
-        let (key, stored) = &mut self.slots[0];
-        key.clear();
-        key.extend_from_slice(util);
-        stored.copy_from(plan);
+            self.live - 1
+        } else {
+            (0..PLAN_SLOTS).min_by_key(|&i| self.slots[i].used).expect("PLAN_SLOTS > 0")
+        };
+        self.uses += 1;
+        let slot = &mut self.slots[i];
+        slot.used = self.uses;
+        slot.key.clear();
+        slot.key.extend_from_slice(util);
+        i
     }
 }
 
@@ -312,15 +473,17 @@ struct StepScratch {
     ds: DemandSet,
     /// Fabric solver buffers.
     solve_ws: SolveScratch,
-    /// This epoch's plan.
+    /// This epoch's plan when it is never stored: one built while
+    /// migrations are queued.
     plan: EpochPlan,
     /// Recent plans, reused when an epoch starts from the same utilization.
     plans: PlanMemo,
+    /// The slot of `plans` this epoch's plan was found in or built into;
+    /// `None` when it is `plan`.
+    slot: Option<usize>,
     /// Demand-building buffers (cached page distributions, latency
     /// inflation).
     demand_ws: demand::DemandScratch,
-    /// Per-process `(group index, activity)` lists.
-    per_proc: Vec<Vec<(usize, f64)>>,
     /// Migration groups appended after the app groups.
     mig_meta: Vec<MigAttempt>,
     /// Per-pair page counts of one process's attempted, then landed,
@@ -328,6 +491,23 @@ struct StepScratch {
     pairs: PairTally,
     /// Ranges completed this epoch.
     completed: Vec<PendingRange>,
+}
+
+impl StepScratch {
+    /// This epoch's plan, where it lies.
+    fn epoch_plan(&self) -> &EpochPlan {
+        match self.slot {
+            Some(i) => &self.plans.slots[i].plan,
+            None => &self.plan,
+        }
+    }
+
+    fn epoch_plan_mut(&mut self) -> &mut EpochPlan {
+        match self.slot {
+            Some(i) => &mut self.plans.slots[i].plan,
+            None => &mut self.plan,
+        }
+    }
 }
 
 /// Page counts per `(from, to)` node pair, with the pairs kept in
@@ -963,29 +1143,33 @@ impl Simulator {
         }
 
         // 1-3. The epoch's plan. Reuse a stored one built from bitwise-equal
-        // utilization unless a process input changed since it was stored,
-        // and never while migrations are queued: their traffic and landings
-        // change from epoch to epoch.
+        // utilization, where it lies, unless a process input changed since
+        // it was stored. While migrations are queued their traffic and
+        // landings change from epoch to epoch, so the plan is built into
+        // `scratch.plan`, used once and never stored.
         if std::mem::take(&mut self.plans_dirty) {
             self.scratch.plans.clear();
         }
         let queued = self.procs.iter().any(|p| !p.migrations.is_empty());
-        let mut plan = std::mem::take(&mut self.scratch.plan);
-        if !queued && self.scratch.plans.lookup_into(&self.ctrl_util, &mut plan) {
+        let hit = if queued { None } else { self.scratch.plans.lookup(&self.ctrl_util) };
+        if hit.is_some() {
+            self.scratch.slot = hit;
             self.scratch.mig_meta.clear();
             if cfg!(debug_assertions) {
                 let mut fresh = EpochPlan::default();
                 self.build_plan(&mut fresh);
-                assert!(fresh.bitwise_eq(&plan), "a reused epoch plan differs from a fresh build");
+                assert!(
+                    fresh.bitwise_eq(self.scratch.epoch_plan()),
+                    "a reused epoch plan differs from a fresh build"
+                );
             }
         } else {
-            self.build_plan(&mut plan);
             self.stats.solves += 1;
-            if !queued {
-                self.scratch.plans.store(&self.ctrl_util, &plan);
-            }
+            self.scratch.slot = (!queued).then(|| self.scratch.plans.claim(&self.ctrl_util));
+            let mut plan = std::mem::take(self.scratch.epoch_plan_mut());
+            self.build_plan(&mut plan);
+            *self.scratch.epoch_plan_mut() = plan;
         }
-        self.scratch.plan = plan;
         let scratch = &mut self.scratch;
         if let Some(tr) = self.trace.as_mut() {
             for att in &scratch.mig_meta {
@@ -998,12 +1182,12 @@ impl Simulator {
             }
         }
         std::mem::swap(&mut self.util_prev, &mut self.ctrl_util);
-        self.ctrl_util.clone_from(&scratch.plan.util);
+        self.ctrl_util.clone_from(&scratch.epoch_plan().util);
         let util_fixed = self.util_prev == self.ctrl_util;
         if let Some(tr) = self.trace.as_mut() {
             // Directed link pairs arrive consecutively (AtoB then BtoA);
             // fold each pair into one per-link counter sample.
-            let mut shares = scratch.plan.solved.link_shares(&self.resources);
+            let mut shares = scratch.epoch_plan().solved.link_shares(&self.resources);
             tr.link_counters(
                 epoch_ts,
                 std::iter::from_fn(|| {
@@ -1018,12 +1202,12 @@ impl Simulator {
         // stride replays per skipped epoch, so it lives in its own method.
         let any_finished = self.advance_progress();
         let scratch = &mut self.scratch;
-        let app_groups = scratch.plan.app_meta.len();
+        let app_groups = scratch.epoch_plan().app_meta.len();
 
         // 5. Complete migrations: one patterned splice per completed range.
         for mi in 0..scratch.mig_meta.len() {
             let att = &scratch.mig_meta[mi];
-            let u = scratch.plan.solved.outcomes[app_groups + mi].activity;
+            let u = scratch.epoch_plan().solved.outcomes[app_groups + mi].activity;
             let pid = att.pid;
             self.procs[pid.0].migration_credit += u * att.pages as f64;
             let done = (self.procs[pid.0].migration_credit + 1e-9).floor() as usize;
@@ -1105,8 +1289,9 @@ impl Simulator {
     /// process's demand groups under the loaded latency of the current
     /// controller utilization, one migration group per process with queued
     /// moves (attempts recorded in `scratch.mig_meta`), the bandwidth
-    /// allocation, and the controller utilization it produces. A missed
-    /// plan is built here, and so is the debug check of a reused one.
+    /// allocation, the controller utilization it produces, and the
+    /// accounting tape of stage 4. A missed plan is built here, and so is
+    /// the debug check of a reused one.
     fn build_plan(&mut self, plan: &mut EpochPlan) {
         let dt = self.cfg.epoch_dt;
         let n = self.machine.node_count();
@@ -1188,6 +1373,9 @@ impl Simulator {
             let r = self.resources.ctrl(NodeId(i as u16));
             plan.solved.allocation.utilization(self.resources.capacities(), r)
         }));
+        let mut tape = std::mem::take(&mut plan.tape);
+        tape.record(plan, &self.procs, dt, n);
+        plan.tape = tape;
     }
 
     /// Stage 0a of [`Simulator::step`]: transition pending processes whose
@@ -1245,73 +1433,43 @@ impl Simulator {
     /// finish processes whose remaining work fits in this epoch. Returns
     /// whether any process finished.
     ///
-    /// This is also the replay body of an event-driven stride: while the
-    /// engine is quiescent the solved allocation in `scratch` stays valid,
-    /// so [`Simulator::step_stride`] re-runs exactly this accounting (same
-    /// statements, same values, same order — bit-identical floats) without
-    /// rebuilding demand or re-solving.
+    /// A process that does not finish runs the whole epoch, so its
+    /// counter updates are the ones its plan's tape recorded; only the
+    /// epoch a process finishes in computes them again, for the fraction
+    /// of the epoch it ran. This is also the replay body of an
+    /// event-driven stride: while the engine is quiescent the epoch's
+    /// plan stays valid, so [`Simulator::step_stride`] re-runs exactly
+    /// this accounting (same values, same order — bit-identical floats)
+    /// without rebuilding demand or re-solving.
     fn advance_progress(&mut self) -> bool {
         let dt = self.cfg.epoch_dt;
         let n = self.machine.node_count();
         let epoch_ts = trace::ts_us(self.clock);
-        let scratch = &mut self.scratch;
+        let plan = self.scratch.epoch_plan();
         let mut any_finished = false;
-        // Group app outcomes per process (inner vectors reused).
-        for v in scratch.per_proc.iter_mut() {
-            v.clear();
-        }
-        scratch.per_proc.resize_with(self.procs.len(), Vec::new);
-        let plan = &scratch.plan;
-        for (gi, (pid, _)) in plan.app_meta.iter().enumerate() {
-            scratch.per_proc[pid.0].push((gi, plan.solved.outcomes[gi].activity));
-        }
-        for (pid_idx, proc_groups) in scratch.per_proc.iter().enumerate() {
-            if proc_groups.is_empty() {
-                continue;
-            }
-            let rate_gbps: f64 =
-                proc_groups.iter().map(|&(gi, u)| u * plan.app_meta[gi].1.demand_gbps).sum();
-            let p = &self.procs[pid_idx];
+        let (mut groups_start, mut incs_start) = (0, 0);
+        for e in &plan.tape.procs {
+            let groups = groups_start..e.groups_end;
+            let incs = incs_start..e.incs_end;
+            (groups_start, incs_start) = (e.groups_end, e.incs_end);
+            let p = &mut self.procs[e.pid.0];
             let remaining = p.profile.total_traffic_gb - p.work_done_gb;
-            let frac = if rate_gbps * dt >= remaining && remaining.is_finite() {
-                (remaining / (rate_gbps * dt)).clamp(0.0, 1.0)
+            let frac = if e.rate_gbps * dt >= remaining && remaining.is_finite() {
+                (remaining / (e.rate_gbps * dt)).clamp(0.0, 1.0)
             } else {
                 1.0
             };
             let dt_eff = dt * frac;
-            let alpha = p.profile.latency_sensitivity;
-            // One division per process, not one per group per node.
-            let read_frac = {
-                let pr = &p.profile;
-                let tot = pr.read_gbps_per_thread + pr.write_gbps_per_thread;
-                if tot > 0.0 {
-                    pr.read_gbps_per_thread / tot
-                } else {
-                    1.0
+            if frac == 1.0 {
+                for &inc in &plan.tape.incs[incs] {
+                    inc.apply(&mut self.counters, e.pid);
                 }
-            };
-            let pid = p.id;
-            for &(gi, u) in proc_groups {
-                let meta = &plan.app_meta[gi].1;
-                let stall = demand::stall_fraction(u, alpha, meta.latency_factor);
-                let cycles = meta.cycle_threads * CLOCK_HZ * dt_eff;
-                self.counters.record_cycles(pid, cycles, stall * cycles);
-                let node_bytes = u * meta.demand_gbps * 1e9 * dt_eff;
-                let share = &plan.shares[meta.share_off..meta.share_off + n];
-                for (i, &share_i) in share.iter().enumerate() {
-                    if share_i > 1e-12 {
-                        self.counters.record_flow(
-                            pid,
-                            i,
-                            meta.node,
-                            node_bytes * share_i * read_frac,
-                            node_bytes * share_i * (1.0 - read_frac),
-                        );
-                    }
-                }
+            } else {
+                plan.increments(groups, &p.profile, dt_eff, n, |inc| {
+                    inc.apply(&mut self.counters, e.pid)
+                });
             }
-            let p = &mut self.procs[pid_idx];
-            p.work_done_gb += rate_gbps * dt_eff;
+            p.work_done_gb += e.rate_gbps * dt_eff;
             if frac < 1.0 {
                 any_finished = true;
                 self.plans_dirty = true;
@@ -1324,7 +1482,7 @@ impl Simulator {
                     tr.instant(
                         "finished",
                         epoch_ts,
-                        trace::process_track(pid),
+                        trace::process_track(e.pid),
                         vec![("at_s".into(), ArgValue::F64(self.clock + dt_eff))],
                     );
                 }
@@ -1425,7 +1583,7 @@ impl Simulator {
             // values did not change, so consumers sampling the trace see
             // the plateau's extent, not a gap.
             let end_ts = trace::ts_us(self.clock);
-            let mut shares = self.scratch.plan.solved.link_shares(&self.resources);
+            let mut shares = self.scratch.epoch_plan().solved.link_shares(&self.resources);
             tr.link_counters_forced(
                 end_ts,
                 std::iter::from_fn(|| {
@@ -1838,6 +1996,24 @@ mod tests {
         let before = sim.sample(a).unwrap();
         sim.step();
         assert_eq!(sim.sample(a).unwrap().traffic_bytes, before.traffic_bytes, "idle profile");
+    }
+
+    /// A hit marks its slot most recently used, so a miss with every slot
+    /// full takes the least recently used one; keys compare by bits.
+    #[test]
+    fn plan_memo_evicts_the_least_recently_used_slot() {
+        let mut memo = PlanMemo::default();
+        let key = |k: f64| [k, 0.5];
+        let slots: Vec<usize> = (0..PLAN_SLOTS).map(|k| memo.claim(&key(k as f64))).collect();
+        assert_eq!(memo.lookup(&key(0.0)), Some(slots[0]));
+        assert_eq!(memo.lookup(&key(-0.0)), None, "-0.0 is not 0.0");
+        assert_eq!(memo.claim(&key(9.0)), slots[1], "key 1 is the least recently used");
+        assert_eq!(memo.lookup(&key(1.0)), None);
+        for k in [0.0, 2.0, 3.0, 9.0] {
+            assert!(memo.lookup(&key(k)).is_some(), "key {k} is still stored");
+        }
+        memo.clear();
+        assert_eq!(memo.lookup(&key(0.0)), None);
     }
 
     #[test]

@@ -14,12 +14,17 @@
 //!   distributions, migration totals, performance counters — rendered
 //!   through `f64::to_bits` so "equal" means *the same bits*, not "close".
 //!
+//! Both engines share the epoch accounting, so a fault in it would show
+//! on both sides alike. [`capture`] therefore also checks every run on
+//! its own: each process's counted traffic matches its progress (see
+//! [`assert_traffic_conserved`]).
+//!
 //! On divergence the panic names the scenario and prints the first
 //! differing line from both runs, which is exactly the event one needs to
 //! debug a stride bug.
 
 use bwap_topology::MachineTopology;
-use numasim::trace::{ArgValue, EventPhase, TraceEvent};
+use numasim::trace::{self, ArgValue, EventPhase, TraceEvent};
 use numasim::{
     Daemon, EngineMode, EngineStats, ProcessId, ProcessState, SimConfig, Simulator, TraceSink,
 };
@@ -129,6 +134,7 @@ where
     }
     let sink = sim.take_trace_sink().expect("sink installed");
     assert_eq!(sink.dropped(), 0, "differential scenarios must fit the ring");
+    assert_traffic_conserved(&sim, sink.events());
 
     let mut events = Vec::new();
     let mut counters = Vec::new();
@@ -212,6 +218,35 @@ where
         pid_idx += 1;
     }
     RunLog { events, counters, state, epoch_slices, stride_slices, stats: sim.engine_stats() }
+}
+
+/// Every byte of progress is a byte of counted traffic. A process that
+/// migrated no pages has counted `work_done_gb` GB, and one that finished
+/// its work (a `finished` instant, not a departure) its
+/// `total_traffic_gb`, both to within 1e-9 relative (the per-flow
+/// products round differently from the per-process rate). Migrated pages
+/// count as traffic too, so processes that moved any are skipped.
+fn assert_traffic_conserved<'a>(sim: &Simulator, events: impl Iterator<Item = &'a TraceEvent>) {
+    let finished: Vec<u64> = events
+        .filter(|e| e.ph == EventPhase::Instant && e.name == "finished")
+        .map(|e| e.track)
+        .collect();
+    let close = |got: f64, want: f64| (got - want).abs() <= 1e-9 * want.abs();
+    let mut pid_idx = 0usize;
+    while let Ok(p) = sim.process(ProcessId(pid_idx)) {
+        let pid = ProcessId(pid_idx);
+        pid_idx += 1;
+        if p.migrations.migrated_total != 0 {
+            continue;
+        }
+        let traffic = sim.counters().process(pid).traffic_bytes;
+        let work = p.work_done_gb * 1e9;
+        assert!(close(traffic, work), "p{}: traffic {traffic} B, progress {work} B", pid.0);
+        if finished.contains(&trace::process_track(pid)) {
+            let total = p.profile.total_traffic_gb * 1e9;
+            assert!(close(traffic, total), "p{}: traffic {traffic} B, total {total} B", pid.0);
+        }
+    }
 }
 
 fn compare(scenario: &str, what: &str, stepped: &[String], event: &[String]) {

@@ -49,7 +49,8 @@ pub struct CellCache {
 impl CellCache {
     /// Open (creating if needed) a cache directory. Directory-creation
     /// failure disables the cache rather than failing the campaign: a
-    /// read-only filesystem degrades to cold execution.
+    /// read-only filesystem degrades to cold execution. The `campaign`
+    /// binary creates the directory first and reports that failure.
     pub fn open(dir: &Path) -> Option<CellCache> {
         std::fs::create_dir_all(dir).ok()?;
         Some(CellCache { dir: dir.to_path_buf() })

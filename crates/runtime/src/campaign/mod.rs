@@ -477,7 +477,9 @@ pub struct CampaignConfig {
     /// replay them (see [`cache::CellCache`]), giving warm reruns
     /// near-zero cost and kill-and-resume for free. Sub-campaigns run
     /// elsewhere against the same directory fill it for the full spec
-    /// the same way (`docs/ROBUSTNESS.md`).
+    /// the same way (`docs/ROBUSTNESS.md`). A directory that cannot be
+    /// created gives a cold, uncached run, without an error; the
+    /// `campaign` binary creates it first and reports the failure.
     pub cache_dir: Option<PathBuf>,
 }
 
