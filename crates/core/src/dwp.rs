@@ -84,6 +84,24 @@ impl Default for DwpTunerConfig {
     }
 }
 
+impl DwpTunerConfig {
+    /// Check what both tuners and their drivers rely on: a step in
+    /// `(0, 1]` and a finite, positive sampling interval (the driver's
+    /// daemon period).
+    pub(crate) fn validate(&self) -> Result<(), BwapError> {
+        if !(self.step > 0.0 && self.step <= 1.0) {
+            return Err(BwapError::InvalidConfig(format!("step {}", self.step)));
+        }
+        if !(self.sample_interval_s.is_finite() && self.sample_interval_s > 0.0) {
+            return Err(BwapError::InvalidConfig(format!(
+                "sample_interval_s must be finite and > 0, got {}",
+                self.sample_interval_s
+            )));
+        }
+        Ok(())
+    }
+}
+
 /// What the driver should do after feeding a sample.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TunerAction {
@@ -127,9 +145,7 @@ impl DwpTuner {
         workers: NodeSet,
         cfg: DwpTunerConfig,
     ) -> Result<Self, BwapError> {
-        if !(cfg.step > 0.0 && cfg.step <= 1.0) {
-            return Err(BwapError::InvalidConfig(format!("step {}", cfg.step)));
-        }
+        cfg.validate()?;
         let sampler = TrimmedSampler::new(cfg.samples_per_iteration, cfg.trim)?;
         // Validate the pair early.
         apply_dwp(&canonical, workers, 0.0)?;

@@ -53,9 +53,7 @@ impl CoschedTuner {
         workers: NodeSet,
         cfg: DwpTunerConfig,
     ) -> Result<Self, BwapError> {
-        if !(cfg.step > 0.0 && cfg.step <= 1.0) {
-            return Err(BwapError::InvalidConfig(format!("step {}", cfg.step)));
-        }
+        cfg.validate()?;
         let sampler_a = TrimmedSampler::new(cfg.samples_per_iteration, cfg.trim)?;
         let sampler_b = TrimmedSampler::new(cfg.samples_per_iteration, cfg.trim)?;
         apply_dwp(&canonical, workers, 0.0)?;

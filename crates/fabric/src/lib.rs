@@ -34,8 +34,6 @@ pub mod resource;
 
 pub use controller::ControllerModel;
 pub use maxmin::{solve_maxmin, solve_maxmin_set, Allocation, Bundle, BundleSet, MaxminScratch};
-pub use network::{
-    DemandSet, FlowDemand, GroupId, GroupOutcome, GroupSpec, SolveResult, SolveScratch,
-};
+pub use network::{DemandSet, FlowDemand, SolveScratch};
 pub use probe::probe_matrix;
 pub use resource::{ResourceKind, ResourceTable};

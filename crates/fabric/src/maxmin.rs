@@ -128,6 +128,17 @@ impl Allocation {
             self.used[r] / caps[r]
         }
     }
+
+    /// Whether `self` and `other` hold the same bits (floats compare by
+    /// `to_bits`, so `-0.0 != 0.0`).
+    pub fn bitwise_eq(&self, other: &Allocation) -> bool {
+        let bits_eq = |a: &[f64], b: &[f64]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        bits_eq(&self.activity, &other.activity)
+            && self.binding == other.binding
+            && bits_eq(&self.used, &other.used)
+    }
 }
 
 const EPS: f64 = 1e-12;

@@ -2,7 +2,8 @@
 //! `memcpy`-style point-to-point bandwidth benchmark.
 
 use crate::controller::ControllerModel;
-use crate::network::{DemandSet, FlowDemand, GroupSpec};
+use crate::maxmin::Allocation;
+use crate::network::{DemandSet, FlowDemand, SolveScratch};
 use crate::resource::ResourceTable;
 use bwap_topology::{BwMatrix, MachineTopology, NodeId};
 
@@ -15,18 +16,16 @@ pub fn probe_matrix(machine: &MachineTopology) -> BwMatrix {
     let ctrl_model = ControllerModel::default();
     let n = machine.node_count();
     let mut out = BwMatrix::zeros(n);
+    let (mut ds, mut ws, mut alloc) =
+        (DemandSet::new(), SolveScratch::default(), Allocation::default());
     for s in 0..n {
         for d in 0..n {
             let (src, dst) = (NodeId(s as u16), NodeId(d as u16));
-            let mut ds = DemandSet::new();
-            ds.push(GroupSpec {
-                id: 0,
-                weight: 1.0,
-                cap: f64::INFINITY,
-                flows: vec![FlowDemand { mem: src, cpu: dst, read_gbps: 1.0, write_gbps: 0.0 }],
-            });
-            let r = ds.solve(machine, &resources, &ctrl_model);
-            out.set(src, dst, r.outcomes[0].activity);
+            ds.clear();
+            ds.begin_group(1.0, f64::INFINITY);
+            ds.add_flow(FlowDemand { mem: src, cpu: dst, read_gbps: 1.0, write_gbps: 0.0 });
+            ds.solve_into(machine, &resources, &ctrl_model, &mut ws, &mut alloc);
+            out.set(src, dst, alloc.activity[0]);
         }
     }
     out

@@ -1,5 +1,6 @@
 //! Capacity resources of a machine, densely indexed for the solver.
 
+use crate::maxmin::Allocation;
 use bwap_topology::{Direction, LinkId, MachineTopology, NodeId};
 
 /// What a resource slot represents.
@@ -101,18 +102,29 @@ impl ResourceTable {
             }
     }
 
-    /// Number of (undirected) interconnect links in the table; directed
-    /// link resources span ids `link_dir(LinkId(0), AtoB) ..` for
-    /// `2 * link_count()` entries.
-    #[inline]
-    pub fn link_count(&self) -> usize {
-        self.links
-    }
-
     /// Resource id of the `(src, dst)` path cap.
     #[inline]
     pub fn path_cap(&self, src: NodeId, dst: NodeId) -> usize {
         2 * self.n + 2 * self.links + src.idx() * self.n + dst.idx()
+    }
+
+    /// The directed per-link bandwidth shares `alloc` granted, in GB/s:
+    /// `(link, direction, share)` for every link direction of this table,
+    /// in dense resource order, where `alloc` solved against this table.
+    /// This is the max-min share actually flowing over each hop — the
+    /// quantity the run-trace layer records per epoch — not the link's
+    /// capacity ([`ResourceTable::capacities`]) or its utilization
+    /// fraction ([`Allocation::utilization`]).
+    pub fn link_shares<'a>(
+        &'a self,
+        alloc: &'a Allocation,
+    ) -> impl Iterator<Item = (LinkId, Direction, f64)> + 'a {
+        (0..self.links).flat_map(move |l| {
+            [Direction::AtoB, Direction::BtoA].into_iter().map(move |d| {
+                let r = self.link_dir(LinkId(l), d);
+                (LinkId(l), d, alloc.used.get(r).copied().unwrap_or(0.0))
+            })
+        })
     }
 }
 

@@ -2,7 +2,8 @@
 //! consistency of the demand translation.
 
 use bwap_fabric::{
-    solve_maxmin, Bundle, ControllerModel, DemandSet, FlowDemand, GroupSpec, ResourceTable,
+    solve_maxmin, Allocation, Bundle, ControllerModel, DemandSet, FlowDemand, ResourceTable,
+    SolveScratch,
 };
 use bwap_topology::{machines, NodeId};
 use proptest::prelude::*;
@@ -79,24 +80,19 @@ proptest! {
         let cm = ControllerModel::default();
         let cpu = if cross { NodeId(4) } else { NodeId(0) };
         let mut ds = DemandSet::new();
-        ds.push(GroupSpec {
-            id: 1,
-            weight: 8.0,
-            cap: 1.0,
-            flows: vec![
-                FlowDemand { mem: NodeId(0), cpu, read_gbps: demand * share0, write_gbps: 0.1 },
-                FlowDemand {
-                    mem: NodeId(3),
-                    cpu,
-                    read_gbps: demand * (1.0 - share0),
-                    write_gbps: 0.0,
-                },
-            ],
+        ds.begin_group(8.0, 1.0);
+        ds.add_flow(FlowDemand { mem: NodeId(0), cpu, read_gbps: demand * share0, write_gbps: 0.1 });
+        ds.add_flow(FlowDemand {
+            mem: NodeId(3),
+            cpu,
+            read_gbps: demand * (1.0 - share0),
+            write_gbps: 0.0,
         });
-        let solved = ds.solve(&m, &rt, &cm);
-        let u = solved.outcomes[0].activity;
+        let mut solved = Allocation::default();
+        ds.solve_into(&m, &rt, &cm, &mut SolveScratch::default(), &mut solved);
+        let u = solved.activity[0];
         prop_assert!((0.0..=1.0 + 1e-9).contains(&u));
-        for (r, &used) in solved.allocation.used.iter().enumerate() {
+        for (r, &used) in solved.used.iter().enumerate() {
             prop_assert!(used <= rt.capacities()[r] * (1.0 + 1e-6), "resource {r}");
         }
     }

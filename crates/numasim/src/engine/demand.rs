@@ -192,7 +192,6 @@ pub(crate) fn latency_inflation(rho: f64, a: f64, b: f64) -> f64 {
 pub(crate) fn build_app_groups(
     proc_: &SimProcess,
     machine: &MachineTopology,
-    make_id: impl Fn(usize) -> u64,
     ds: &mut DemandSet,
     metas: &mut Vec<(ProcessId, GroupMeta)>,
     shares: &mut Vec<f64>,
@@ -261,7 +260,7 @@ pub(crate) fn build_app_groups(
                     shares.push(if j == i { 1.0 } else { 0.0 });
                 }
                 let path_bw = machine.path_caps().get(NodeId(i as u16), NodeId(w as u16));
-                ds.begin_group(make_id(w), t_w as f64 * path_bw, 1.0);
+                ds.begin_group(t_w as f64 * path_bw, 1.0);
                 ds.add_flow(mk_flow(share_i, i));
                 metas.push((
                     proc_.id,
@@ -275,7 +274,7 @@ pub(crate) fn build_app_groups(
                 ));
             }
         } else {
-            ds.begin_group(make_id(w), t_w as f64, 1.0);
+            ds.begin_group(t_w as f64, 1.0);
             for i in 0..n {
                 let share_i = shares[share_off + i];
                 if share_i > 1e-12 && demand_gbps > 0.0 {

@@ -37,7 +37,7 @@ use crate::process::{ProcessId, ProcessState, SimProcess};
 use crate::trace::{self, ArgValue, TraceSink};
 use crate::CLOCK_HZ;
 use bwap_fabric::{
-    ControllerModel, DemandSet, FlowDemand, ResourceTable, SolveResult, SolveScratch,
+    Allocation, ControllerModel, DemandSet, FlowDemand, ResourceTable, SolveScratch,
 };
 use bwap_topology::{MachineTopology, NodeId, NodeSet, PAGE_SIZE};
 use std::ops::Range;
@@ -227,8 +227,9 @@ struct EpochPlan {
     /// Arena of per-group traffic-share vectors
     /// ([`demand::GroupMeta::share_off`] indexes into it).
     shares: Vec<f64>,
-    /// The bandwidth allocation.
-    solved: SolveResult,
+    /// The bandwidth allocation: the app groups' activities, then one per
+    /// migration attempt.
+    solved: Allocation,
     /// Controller utilization per node under that allocation.
     util: Vec<f64>,
     /// Stage 4's counter updates for an epoch in which no process
@@ -253,7 +254,7 @@ impl EpochPlan {
 
     /// Progress rate of the app groups `groups` (one process's), GB/s.
     fn rate_gbps(&self, groups: Range<usize>) -> f64 {
-        groups.map(|gi| self.solved.outcomes[gi].activity * self.app_meta[gi].1.demand_gbps).sum()
+        groups.map(|gi| self.solved.activity[gi] * self.app_meta[gi].1.demand_gbps).sum()
     }
 
     /// Stage 4's counter updates for the app groups `groups` (one
@@ -280,7 +281,7 @@ impl EpochPlan {
         };
         for gi in groups {
             let meta = &self.app_meta[gi].1;
-            let u = self.solved.outcomes[gi].activity;
+            let u = self.solved.activity[gi];
             let stall = demand::stall_fraction(u, alpha, meta.latency_factor);
             let cycles = meta.cycle_threads * CLOCK_HZ * dt_eff;
             emit(Increment::Cycles { cycles, stall: stall * cycles });
@@ -473,14 +474,10 @@ struct StepScratch {
     ds: DemandSet,
     /// Fabric solver buffers.
     solve_ws: SolveScratch,
-    /// This epoch's plan when it is never stored: one built while
-    /// migrations are queued.
-    plan: EpochPlan,
     /// Recent plans, reused when an epoch starts from the same utilization.
     plans: PlanMemo,
-    /// The slot of `plans` this epoch's plan was found in or built into;
-    /// `None` when it is `plan`.
-    slot: Option<usize>,
+    /// The slot of `plans` this epoch's plan was found in or built into.
+    slot: usize,
     /// Demand-building buffers (cached page distributions, latency
     /// inflation).
     demand_ws: demand::DemandScratch,
@@ -496,17 +493,7 @@ struct StepScratch {
 impl StepScratch {
     /// This epoch's plan, where it lies.
     fn epoch_plan(&self) -> &EpochPlan {
-        match self.slot {
-            Some(i) => &self.plans.slots[i].plan,
-            None => &self.plan,
-        }
-    }
-
-    fn epoch_plan_mut(&mut self) -> &mut EpochPlan {
-        match self.slot {
-            Some(i) => &mut self.plans.slots[i].plan,
-            None => &mut self.plan,
-        }
+        &self.plans.slots[self.slot].plan
     }
 }
 
@@ -565,10 +552,6 @@ pub struct Simulator {
     /// Controller utilization per node in the previous epoch (drives the
     /// loaded-latency feedback).
     ctrl_util: Vec<f64>,
-    /// `ctrl_util` as of the epoch before that — when the two agree the
-    /// demand → allocation → utilization feedback loop is at its fixed
-    /// point, one of the conditions for an event-driven stride.
-    util_prev: Vec<f64>,
     /// Whether the last full epoch was quiescent: re-running it would
     /// change nothing but the clock and accumulated progress.
     quiescent: bool,
@@ -625,7 +608,6 @@ impl Simulator {
             daemons: Vec::new(),
             clock: 0.0,
             ctrl_util: vec![0.0; n],
-            util_prev: vec![0.0; n],
             quiescent: false,
             scratch: StepScratch::default(),
             plans_dirty: false,
@@ -1144,16 +1126,17 @@ impl Simulator {
 
         // 1-3. The epoch's plan. Reuse a stored one built from bitwise-equal
         // utilization, where it lies, unless a process input changed since
-        // it was stored. While migrations are queued their traffic and
-        // landings change from epoch to epoch, so the plan is built into
-        // `scratch.plan`, used once and never stored.
+        // it was stored; otherwise build it into a claimed slot. While
+        // migrations are queued their traffic and landings change from
+        // epoch to epoch, so such a plan is never looked up, and it is
+        // dropped before the next epoch.
         if std::mem::take(&mut self.plans_dirty) {
             self.scratch.plans.clear();
         }
         let queued = self.procs.iter().any(|p| !p.migrations.is_empty());
         let hit = if queued { None } else { self.scratch.plans.lookup(&self.ctrl_util) };
-        if hit.is_some() {
-            self.scratch.slot = hit;
+        if let Some(slot) = hit {
+            self.scratch.slot = slot;
             self.scratch.mig_meta.clear();
             if cfg!(debug_assertions) {
                 let mut fresh = EpochPlan::default();
@@ -1165,10 +1148,12 @@ impl Simulator {
             }
         } else {
             self.stats.solves += 1;
-            self.scratch.slot = (!queued).then(|| self.scratch.plans.claim(&self.ctrl_util));
-            let mut plan = std::mem::take(self.scratch.epoch_plan_mut());
+            self.plans_dirty |= queued;
+            let slot = self.scratch.plans.claim(&self.ctrl_util);
+            self.scratch.slot = slot;
+            let mut plan = std::mem::take(&mut self.scratch.plans.slots[slot].plan);
             self.build_plan(&mut plan);
-            *self.scratch.epoch_plan_mut() = plan;
+            self.scratch.plans.slots[slot].plan = plan;
         }
         let scratch = &mut self.scratch;
         if let Some(tr) = self.trace.as_mut() {
@@ -1181,13 +1166,16 @@ impl Simulator {
                 );
             }
         }
-        std::mem::swap(&mut self.util_prev, &mut self.ctrl_util);
-        self.ctrl_util.clone_from(&scratch.epoch_plan().util);
-        let util_fixed = self.util_prev == self.ctrl_util;
+        // The demand → allocation → utilization feedback is at its fixed
+        // point when the plan reproduces the utilization it was built
+        // from: one of the conditions for an event-driven stride.
+        let slot = &scratch.plans.slots[scratch.slot];
+        let util_fixed = slot.key == slot.plan.util;
+        self.ctrl_util.clone_from(&slot.plan.util);
         if let Some(tr) = self.trace.as_mut() {
             // Directed link pairs arrive consecutively (AtoB then BtoA);
             // fold each pair into one per-link counter sample.
-            let mut shares = scratch.epoch_plan().solved.link_shares(&self.resources);
+            let mut shares = self.resources.link_shares(&scratch.epoch_plan().solved);
             tr.link_counters(
                 epoch_ts,
                 std::iter::from_fn(|| {
@@ -1207,7 +1195,7 @@ impl Simulator {
         // 5. Complete migrations: one patterned splice per completed range.
         for mi in 0..scratch.mig_meta.len() {
             let att = &scratch.mig_meta[mi];
-            let u = scratch.epoch_plan().solved.outcomes[app_groups + mi].activity;
+            let u = scratch.epoch_plan().solved.activity[app_groups + mi];
             let pid = att.pid;
             self.procs[pid.0].migration_credit += u * att.pages as f64;
             let done = (self.procs[pid.0].migration_credit + 1e-9).floor() as usize;
@@ -1308,11 +1296,9 @@ impl Simulator {
             if !p.is_running() {
                 continue;
             }
-            let pid = p.id;
             demand::build_app_groups(
                 p,
                 &self.machine,
-                |w| (pid.0 as u64) << 16 | w as u64,
                 &mut scratch.ds,
                 &mut plan.app_meta,
                 &mut plan.shares,
@@ -1341,7 +1327,7 @@ impl Simulator {
                 left -= take;
                 r.for_each_prefix_slot(take, |from, to, pages| scratch.pairs.add(from, to, pages));
             }
-            scratch.ds.begin_group((1u64 << 63) | p.id.0 as u64, 1.0, 1.0);
+            scratch.ds.begin_group(1.0, 1.0);
             for (from, to, count) in scratch.pairs.iter() {
                 let rate = count as f64 * PAGE_SIZE as f64 / dt / 1e9;
                 // Read the page from its current node...
@@ -1371,7 +1357,7 @@ impl Simulator {
         plan.util.clear();
         plan.util.extend((0..n).map(|i| {
             let r = self.resources.ctrl(NodeId(i as u16));
-            plan.solved.allocation.utilization(self.resources.capacities(), r)
+            plan.solved.utilization(self.resources.capacities(), r)
         }));
         let mut tape = std::mem::take(&mut plan.tape);
         tape.record(plan, &self.procs, dt, n);
@@ -1583,7 +1569,7 @@ impl Simulator {
             // values did not change, so consumers sampling the trace see
             // the plateau's extent, not a gap.
             let end_ts = trace::ts_us(self.clock);
-            let mut shares = self.scratch.epoch_plan().solved.link_shares(&self.resources);
+            let mut shares = self.resources.link_shares(&self.scratch.epoch_plan().solved);
             tr.link_counters_forced(
                 end_ts,
                 std::iter::from_fn(|| {

@@ -290,12 +290,6 @@ pub struct MigrationQueue {
     queue: VecDeque<PendingRange>,
     /// Moved pages across all queued ranges (kept in sync with `queue`).
     pending_pages: u64,
-    /// Conservative per-segment page spans `(segment, lo, hi)` covering
-    /// every queued range (spans only grow; reset when the queue drains).
-    /// Lets `cancel_range` answer the common no-overlap case — e.g. the
-    /// paper's Algorithm 1 issuing one `mbind` per *disjoint* sub-range —
-    /// in O(segments) instead of walking the queue.
-    seg_spans: Vec<(SegmentId, u64, u64)>,
     /// Total pages ever enqueued (stat).
     pub enqueued_total: u64,
     /// Total pages ever migrated (stat).
@@ -315,13 +309,6 @@ impl MigrationQueue {
             let moved = r.moved();
             if moved == 0 {
                 continue;
-            }
-            match self.seg_spans.iter_mut().find(|(s, ..)| *s == r.segment) {
-                Some((_, lo, hi)) => {
-                    *lo = (*lo).min(r.start);
-                    *hi = (*hi).max(r.end());
-                }
-                None => self.seg_spans.push((r.segment, r.start, r.end())),
             }
             self.pending_pages += moved;
             self.enqueued_total += moved;
@@ -376,9 +363,6 @@ impl MigrationQueue {
             }
         }
         self.migrated_total += removed;
-        if self.queue.is_empty() {
-            self.seg_spans.clear();
-        }
         removed as usize
     }
 
@@ -393,7 +377,6 @@ impl MigrationQueue {
     /// Drop all pending moves (e.g. when the process exits).
     pub fn clear(&mut self) {
         self.queue.clear();
-        self.seg_spans.clear();
         self.pending_pages = 0;
     }
 
@@ -401,21 +384,15 @@ impl MigrationQueue {
     /// A fresh `mbind` over a range supersedes queued moves for it — the
     /// latest policy wins, as with Linux's synchronous `mbind`. Ranges
     /// partially covered are trimmed or split in place. Returns how many
-    /// page moves were cancelled. Cancels that cannot touch anything —
-    /// checked against the per-segment span index — return without
-    /// scanning the queue.
+    /// page moves were cancelled. Cancels that touch nothing — e.g. the
+    /// paper's Algorithm 1 issuing one `mbind` per *disjoint* sub-range —
+    /// cost one read-only pass over the queue, which patterned ranges keep
+    /// O(placement blocks) long, and leave it as it is.
     pub fn cancel_range(&mut self, segment: SegmentId, start: u64, len: u64) -> usize {
         if len == 0 {
             return 0;
         }
         let end = start.saturating_add(len);
-        let possible =
-            self.seg_spans.iter().any(|&(s, lo, hi)| s == segment && start < hi && end > lo);
-        if !possible {
-            return 0;
-        }
-        // Span hit: confirm a real overlap with one read-only pass before
-        // paying for the rebuild.
         if !self.queue.iter().any(|r| r.segment == segment && r.start < end && r.end() > start) {
             return 0;
         }

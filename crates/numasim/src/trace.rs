@@ -306,7 +306,7 @@ impl TraceSink {
     /// Emit per-link share counters for the directions whose share
     /// changed since the previous emission. `shares` yields the directed
     /// pairs of each link consecutively, as
-    /// `bwap_fabric::SolveResult::link_shares` does.
+    /// `bwap_fabric::ResourceTable::link_shares` does.
     pub(crate) fn link_counters(
         &mut self,
         ts: u64,

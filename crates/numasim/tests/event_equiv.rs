@@ -114,7 +114,7 @@ fn phased_timeline_switches_at_identical_epochs() {
 #[test]
 fn migration_drain_is_never_strided_over() {
     let m = machines::machine_b();
-    assert_equivalent("drain", &m, &SimConfig::default(), |sim| {
+    let (stepped, _) = assert_equivalent("drain", &m, &SimConfig::default(), |sim| {
         let pid = sim
             .spawn(profile(1e4), NodeSet::single(NodeId(0)), None, MemPolicy::FirstTouch)
             .unwrap();
@@ -122,6 +122,10 @@ fn migration_drain_is_never_strided_over() {
         sim.mbind(pid, seg, 0, 10_000, MemPolicy::Bind(NodeId(3)), true).unwrap();
         Drive::For(2.0)
     });
+    // Each draining epoch solves afresh; once the queue empties, stored
+    // plans serve the rest of the run.
+    let stats = stepped.stats;
+    assert_eq!((stats.full_epochs, stats.solves), (400, 7), "exact work of the stepped run");
 }
 
 #[test]

@@ -400,6 +400,25 @@ mod tests {
         assert_eq!(r.workers, 1);
     }
 
+    /// The sampling interval is the tuner daemon's period, which the
+    /// engine asserts positive: a bad one must fail the run with an error
+    /// before any daemon is registered.
+    #[test]
+    fn bad_tuner_intervals_are_errors_not_panics() {
+        let m = machines::machine_b();
+        let workers = m.best_worker_set(1);
+        for interval in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut cfg = bwap::BwapConfig::default();
+            cfg.tuner.sample_interval_s = interval;
+            let adaptive = AdaptiveConfig { bwap: cfg.clone(), ..AdaptiveConfig::default() };
+            let bwap = PlacementPolicy::Bwap(cfg);
+            assert!(run_standalone(&m, &fast_sc(), workers, &bwap).is_err(), "{interval}");
+            assert!(run_coscheduled(&m, &fast_sc(), workers, &bwap).is_err(), "{interval}");
+            let adaptive = PlacementPolicy::AdaptiveBwap(adaptive);
+            assert!(run_standalone(&m, &fast_sc(), workers, &adaptive).is_err(), "{interval}");
+        }
+    }
+
     #[test]
     fn coscheduled_on_full_machine_rejected() {
         let m = machines::machine_b();
