@@ -181,12 +181,20 @@ impl DwpTuner {
         if self.finished {
             return TunerAction::Finished;
         }
-        let Some(mean) = self.sampler.push(stall_rate) else {
-            return TunerAction::Continue;
-        };
+        match self.sampler.push(stall_rate) {
+            Some(mean) => self.on_window(mean),
+            None => TunerAction::Continue,
+        }
+    }
+
+    /// One iteration on a full window's trimmed stall rate: keep climbing
+    /// while stalls improve by more than `min_improvement`. The first
+    /// window is the baseline and always probes one step. The co-scheduled
+    /// tuner feeds its stage-2 windows here.
+    pub(crate) fn on_window(&mut self, mean: f64) -> TunerAction {
         self.history.push((self.dwp, mean));
         let climb = match self.prev_stall {
-            None => true, // baseline window at DWP = 0: always try one step
+            None => true, // the baseline window: always try one step
             Some(prev) => mean < prev * (1.0 - self.cfg.min_improvement),
         };
         self.prev_stall = Some(mean);
@@ -197,7 +205,8 @@ impl DwpTuner {
         self.raise()
     }
 
-    fn raise(&mut self) -> TunerAction {
+    /// Raise DWP by one step, or finish if it is already 1.
+    pub(crate) fn raise(&mut self) -> TunerAction {
         if self.dwp >= 1.0 - 1e-9 {
             self.finished = true;
             return TunerAction::Finished;

@@ -12,7 +12,7 @@
 //! * **Stage 2**: continue the ordinary hill climb guided by *B*'s stall
 //!   rate from that lower bound upward.
 
-use crate::dwp::{apply_dwp, DwpTunerConfig, TunerAction};
+use crate::dwp::{DwpTuner, DwpTunerConfig, TunerAction};
 use crate::error::BwapError;
 use crate::sampler::TrimmedSampler;
 use crate::weights::WeightDistribution;
@@ -34,15 +34,12 @@ pub enum Stage {
 /// placement.
 #[derive(Debug, Clone)]
 pub struct CoschedTuner {
-    cfg: DwpTunerConfig,
-    canonical: WeightDistribution,
-    workers: NodeSet,
+    /// B's hill climb, whose sampler takes B's stall rates. Stage 1 raises
+    /// its DWP; stage 2 is this climb.
+    climb: DwpTuner,
     sampler_a: TrimmedSampler,
-    sampler_b: TrimmedSampler,
     stage: Stage,
-    dwp: f64,
     prev_a: Option<f64>,
-    prev_b: Option<f64>,
     history: Vec<(Stage, f64, f64, f64)>,
 }
 
@@ -53,20 +50,12 @@ impl CoschedTuner {
         workers: NodeSet,
         cfg: DwpTunerConfig,
     ) -> Result<Self, BwapError> {
-        cfg.validate()?;
-        let sampler_a = TrimmedSampler::new(cfg.samples_per_iteration, cfg.trim)?;
-        let sampler_b = TrimmedSampler::new(cfg.samples_per_iteration, cfg.trim)?;
-        apply_dwp(&canonical, workers, 0.0)?;
+        let climb = DwpTuner::new(canonical, workers, cfg)?;
         Ok(CoschedTuner {
-            cfg,
-            canonical,
-            workers,
-            sampler_a,
-            sampler_b,
+            sampler_a: climb.sampler.clone(),
+            climb,
             stage: Stage::ProtectHighPriority,
-            dwp: 0.0,
             prev_a: None,
-            prev_b: None,
             history: Vec::new(),
         })
     }
@@ -78,7 +67,13 @@ impl CoschedTuner {
 
     /// Current DWP of B.
     pub fn dwp(&self) -> f64 {
-        self.dwp
+        self.climb.dwp()
+    }
+
+    /// B's hill climb: its DWP is B's in both stages, and its history
+    /// holds the stage-2 iterations.
+    pub fn climb(&self) -> &DwpTuner {
+        &self.climb
     }
 
     /// Whether the search ended.
@@ -97,56 +92,29 @@ impl CoschedTuner {
             return TunerAction::Finished;
         }
         let ma = self.sampler_a.push(stall_a);
-        let mb = self.sampler_b.push(stall_b);
+        let mb = self.climb.sampler.push(stall_b);
         let (Some(ma), Some(mb)) = (ma, mb) else {
             return TunerAction::Continue;
         };
-        self.history.push((self.stage, self.dwp, ma, mb));
-        match self.stage {
-            Stage::ProtectHighPriority => {
-                let improving = match self.prev_a {
-                    None => true,
-                    Some(prev) => ma < prev * (1.0 - self.cfg.stage1_min_improvement),
-                };
-                self.prev_a = Some(ma);
-                if improving {
-                    self.raise()
-                } else {
-                    // A stabilized: the current DWP is the lower bound.
-                    // Hand over to stage 2, seeding B's baseline with this
-                    // window's measurement and immediately probing one
-                    // step upward (stage 2 behaves like the stand-alone
-                    // tuner's first iteration, §III-B-2).
-                    self.stage = Stage::OptimizeBestEffort;
-                    self.prev_b = Some(mb);
-                    self.raise()
-                }
-            }
-            Stage::OptimizeBestEffort => {
-                let improving = match self.prev_b {
-                    None => true,
-                    Some(prev) => mb < prev * (1.0 - self.cfg.min_improvement),
-                };
-                self.prev_b = Some(mb);
-                if improving {
-                    self.raise()
-                } else {
-                    self.stage = Stage::Done;
-                    TunerAction::Finished
-                }
-            }
-            Stage::Done => TunerAction::Finished,
-        }
-    }
-
-    fn raise(&mut self) -> TunerAction {
-        if self.dwp >= 1.0 - 1e-9 {
+        self.history.push((self.stage, self.climb.dwp(), ma, mb));
+        // Stage 1's test; A's previous window is never read in stage 2.
+        let a_improving = match self.prev_a.replace(ma) {
+            None => true,
+            Some(prev) => ma < prev * (1.0 - self.climb.cfg.stage1_min_improvement),
+        };
+        let action = if self.stage == Stage::ProtectHighPriority && a_improving {
+            self.climb.raise()
+        } else {
+            // Stage 2 is the stand-alone climb from the DWP stage 1
+            // reached. The window on which A stabilized is its first: it
+            // seeds B's baseline and probes one step upward (§III-B2).
+            self.stage = Stage::OptimizeBestEffort;
+            self.climb.on_window(mb)
+        };
+        if action == TunerAction::Finished {
             self.stage = Stage::Done;
-            return TunerAction::Finished;
         }
-        self.dwp = (self.dwp + self.cfg.step).min(1.0);
-        let weights = apply_dwp(&self.canonical, self.workers, self.dwp).expect("dwp in range");
-        TunerAction::Apply { dwp: self.dwp, weights }
+        action
     }
 }
 

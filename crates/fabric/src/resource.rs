@@ -108,23 +108,21 @@ impl ResourceTable {
         2 * self.n + 2 * self.links + src.idx() * self.n + dst.idx()
     }
 
-    /// The directed per-link bandwidth shares `alloc` granted, in GB/s:
-    /// `(link, direction, share)` for every link direction of this table,
-    /// in dense resource order, where `alloc` solved against this table.
-    /// This is the max-min share actually flowing over each hop — the
-    /// quantity the run-trace layer records per epoch — not the link's
-    /// capacity ([`ResourceTable::capacities`]) or its utilization
-    /// fraction ([`Allocation::utilization`]).
+    /// The per-link bandwidth shares `alloc` granted, in GB/s:
+    /// `(link, a_to_b, b_to_a)` for every link of this table, in link
+    /// order, where `alloc` solved against this table. This is the max-min
+    /// share actually flowing over each hop — the quantity the run-trace
+    /// layer records per epoch — not the link's capacity
+    /// ([`ResourceTable::capacities`]) or its utilization fraction
+    /// ([`Allocation::utilization`]).
     pub fn link_shares<'a>(
         &'a self,
         alloc: &'a Allocation,
-    ) -> impl Iterator<Item = (LinkId, Direction, f64)> + 'a {
-        (0..self.links).flat_map(move |l| {
-            [Direction::AtoB, Direction::BtoA].into_iter().map(move |d| {
-                let r = self.link_dir(LinkId(l), d);
-                (LinkId(l), d, alloc.used.get(r).copied().unwrap_or(0.0))
-            })
-        })
+    ) -> impl Iterator<Item = (LinkId, f64, f64)> + 'a {
+        let share = move |l, d| alloc.used.get(self.link_dir(l, d)).copied().unwrap_or(0.0);
+        (0..self.links)
+            .map(LinkId)
+            .map(move |l| (l, share(l, Direction::AtoB), share(l, Direction::BtoA)))
     }
 }
 

@@ -56,4 +56,22 @@ mod tests {
         assert!((fired[0] - 0.1).abs() < 0.011, "first fire at ~0.1s, got {}", fired[0]);
         assert!((fired[1] - fired[0] - 0.1).abs() < 0.011);
     }
+
+    fn register(period: f64, phase: f64) {
+        let fires = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Simulator::new(machines::twin(), SimConfig::default());
+        sim.add_daemon(Box::new(CountingDaemon { fires, stop_after: 1 }), period, phase);
+    }
+
+    #[test]
+    #[should_panic(expected = "daemon period must be finite and positive")]
+    fn an_infinite_period_is_rejected() {
+        register(f64::INFINITY, 0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "daemon period must be finite and positive")]
+    fn a_nan_phase_is_rejected() {
+        register(0.1, f64::NAN);
+    }
 }

@@ -1067,8 +1067,16 @@ impl Simulator {
 
     /// Register a periodic daemon; first fire at `clock + phase`, then
     /// every `period`.
+    ///
+    /// # Panics
+    ///
+    /// If `period` is not positive and finite, or `phase` is not finite.
+    /// Callers taking a period from outside check it first.
     pub fn add_daemon(&mut self, daemon: Box<dyn Daemon>, period: f64, phase: f64) {
-        assert!(period > 0.0, "daemon period must be positive");
+        assert!(
+            period > 0.0 && period.is_finite() && phase.is_finite(),
+            "daemon period must be finite and positive, phase finite: got {period}, {phase}"
+        );
         self.daemons.push(DaemonSlot {
             next_fire: self.clock + phase,
             period,
@@ -1173,17 +1181,7 @@ impl Simulator {
         let util_fixed = slot.key == slot.plan.util;
         self.ctrl_util.clone_from(&slot.plan.util);
         if let Some(tr) = self.trace.as_mut() {
-            // Directed link pairs arrive consecutively (AtoB then BtoA);
-            // fold each pair into one per-link counter sample.
-            let mut shares = self.resources.link_shares(&scratch.epoch_plan().solved);
-            tr.link_counters(
-                epoch_ts,
-                std::iter::from_fn(|| {
-                    let (l, _, ab) = shares.next()?;
-                    let (_, _, ba) = shares.next().expect("directions come in pairs");
-                    Some((l.0, ab, ba))
-                }),
-            );
+            tr.link_counters(epoch_ts, self.resources.link_shares(&scratch.epoch_plan().solved));
         }
 
         // 4. Progress, stalls, counters — the one stage an event-driven
@@ -1569,15 +1567,8 @@ impl Simulator {
             // values did not change, so consumers sampling the trace see
             // the plateau's extent, not a gap.
             let end_ts = trace::ts_us(self.clock);
-            let mut shares = self.resources.link_shares(&self.scratch.epoch_plan().solved);
-            tr.link_counters_forced(
-                end_ts,
-                std::iter::from_fn(|| {
-                    let (l, _, ab) = shares.next()?;
-                    let (_, _, ba) = shares.next().expect("directions come in pairs");
-                    Some((l.0, ab, ba))
-                }),
-            );
+            let shares = self.resources.link_shares(&self.scratch.epoch_plan().solved);
+            tr.link_counters_forced(end_ts, shares);
             tr.end("stride", end_ts, trace::ENGINE_TRACK);
         }
         epochs

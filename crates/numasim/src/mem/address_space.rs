@@ -58,18 +58,6 @@ impl AddressSpace {
         self.segments.is_empty()
     }
 
-    /// The shared segment (processes have exactly one), if created.
-    pub fn shared_segment(&self) -> Option<SegmentId> {
-        self.iter().find(|(_, s)| matches!(s.kind(), SegmentKind::Shared)).map(|(id, _)| id)
-    }
-
-    /// Private segment of a given thread, if created.
-    pub fn private_segment(&self, thread: usize) -> Option<SegmentId> {
-        self.iter()
-            .find(|(_, s)| matches!(s.kind(), SegmentKind::Private { thread: t } if t == thread))
-            .map(|(id, _)| id)
-    }
-
     /// Total pages across all segments.
     pub fn total_pages(&self) -> u64 {
         self.segments.iter().map(|s| s.len()).sum()
@@ -120,9 +108,8 @@ mod tests {
                 &fb,
             )
             .unwrap();
-        assert_eq!(asp.shared_segment(), Some(shared));
-        assert_eq!(asp.private_segment(0), Some(p0));
-        assert_eq!(asp.private_segment(1), None);
+        assert_eq!(asp.segment(shared).unwrap().len(), 100);
+        assert_eq!(asp.segment(p0).unwrap().len(), 50);
         assert_eq!(asp.total_pages(), 150);
         assert_eq!(asp.node_counts(4), vec![100, 50, 0, 0]);
         assert_eq!(asp.len(), 2);

@@ -245,9 +245,6 @@ pub struct Segment {
     extents: Vec<Extent>,
     /// Cached histogram: pages per node.
     node_counts: Vec<u64>,
-    /// Policy the segment was created under (later `mbind`s move pages but
-    /// the creation policy records provenance for debugging).
-    creation_policy: MemPolicy,
 }
 
 impl Segment {
@@ -279,13 +276,8 @@ impl Segment {
                 fallback.len()
             )));
         }
-        let mut seg = Segment {
-            kind,
-            len: 0,
-            extents: Vec::new(),
-            node_counts: vec![0u64; node_count],
-            creation_policy: policy.clone(),
-        };
+        let mut seg =
+            Segment { kind, len: 0, extents: Vec::new(), node_counts: vec![0u64; node_count] };
         for (_, block_len, pat) in policy_blocks(policy, len, toucher) {
             match pat {
                 Pattern::Const(target) => {
@@ -462,11 +454,6 @@ impl Segment {
         for (o, &c) in out.iter_mut().zip(&self.node_counts) {
             *o = c as f64 / total;
         }
-    }
-
-    /// Policy the segment was created under.
-    pub fn creation_policy(&self) -> &MemPolicy {
-        &self.creation_policy
     }
 
     /// Move page `i` to `to`, updating the histogram. The caller is

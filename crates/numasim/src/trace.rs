@@ -30,6 +30,7 @@
 //! the hand-rolled JSON conventions of the campaign reports (shortest
 //! round-trip floats, `null` for non-finite values).
 
+use bwap_topology::LinkId;
 use std::borrow::Cow;
 use std::collections::VecDeque;
 
@@ -303,14 +304,14 @@ impl TraceSink {
         });
     }
 
-    /// Emit per-link share counters for the directions whose share
-    /// changed since the previous emission. `shares` yields the directed
-    /// pairs of each link consecutively, as
+    /// Emit per-link share counters for the links whose share changed
+    /// since the previous emission. `shares` yields one
+    /// `(link, a_to_b, b_to_a)` per link, as
     /// `bwap_fabric::ResourceTable::link_shares` does.
     pub(crate) fn link_counters(
         &mut self,
         ts: u64,
-        shares: impl Iterator<Item = (usize, f64, f64)>,
+        shares: impl Iterator<Item = (LinkId, f64, f64)>,
     ) {
         self.link_counters_impl(ts, shares, false);
     }
@@ -321,7 +322,7 @@ impl TraceSink {
     pub(crate) fn link_counters_forced(
         &mut self,
         ts: u64,
-        shares: impl Iterator<Item = (usize, f64, f64)>,
+        shares: impl Iterator<Item = (LinkId, f64, f64)>,
     ) {
         self.link_counters_impl(ts, shares, true);
     }
@@ -329,10 +330,10 @@ impl TraceSink {
     fn link_counters_impl(
         &mut self,
         ts: u64,
-        shares: impl Iterator<Item = (usize, f64, f64)>,
+        shares: impl Iterator<Item = (LinkId, f64, f64)>,
         force: bool,
     ) {
-        for (l, ab, ba) in shares {
+        for (LinkId(l), ab, ba) in shares {
             if self.last_links.len() < 2 * (l + 1) {
                 self.last_links.resize(2 * (l + 1), -1.0);
             }
@@ -474,9 +475,9 @@ mod tests {
     #[test]
     fn link_counters_emit_only_on_change() {
         let mut t = TraceSink::default();
-        t.link_counters(0, [(0usize, 1.0, 0.0), (1, 0.0, 0.0)].into_iter());
-        t.link_counters(1, [(0usize, 1.0, 0.0), (1, 0.0, 0.0)].into_iter());
-        t.link_counters(2, [(0usize, 2.0, 0.0), (1, 0.0, 0.0)].into_iter());
+        t.link_counters(0, [(LinkId(0), 1.0, 0.0), (LinkId(1), 0.0, 0.0)].into_iter());
+        t.link_counters(1, [(LinkId(0), 1.0, 0.0), (LinkId(1), 0.0, 0.0)].into_iter());
+        t.link_counters(2, [(LinkId(0), 2.0, 0.0), (LinkId(1), 0.0, 0.0)].into_iter());
         // First epoch emits both links, the steady epoch none, the change
         // re-emits link0 only.
         assert_eq!(t.len(), 3);

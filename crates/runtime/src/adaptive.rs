@@ -4,23 +4,25 @@
 //! in order to obtain improved performance for applications whose access
 //! patterns change over time").
 //!
-//! The adaptive daemon wraps the ordinary DWP search with a watchdog:
-//! after the search converges it keeps sampling; when the trimmed stall
-//! rate departs from the converged level by more than a configurable
-//! relative band, it declares a phase change, re-installs the canonical
-//! placement (our simulated `mbind` migrates in both directions, lifting
-//! the one-way restriction the paper works around) and restarts the hill
-//! climb from DWP = 0. [`AdaptiveConfig::max_retunes`] caps how many
-//! restarts an oscillating workload can trigger; each re-tune's count and
-//! timestamp is published through the shared [`crate::TunerHandle`] and
-//! surfaced in campaign reports.
+//! The BWAP daemon's adaptive search ([`crate::AdaptiveBwapDaemon::init`])
+//! wraps the ordinary DWP climb with a watchdog: after the climb converges
+//! it keeps sampling; when the trimmed stall rate departs from the
+//! converged level by more than a configurable relative band, it declares
+//! a phase change, re-installs the canonical placement (our simulated
+//! `mbind` migrates in both directions, lifting the one-way restriction
+//! the paper works around) and restarts the hill climb from DWP = 0.
+//! [`AdaptiveConfig::max_retunes`] caps how many restarts an oscillating
+//! workload can trigger; each re-tune's count and timestamp is published
+//! through the shared [`crate::TunerHandle`] and surfaced in campaign
+//! reports.
 //!
 //! The natural counterpart is a phase-structured workload
 //! ([`bwap_workloads::PhasedWorkload`]): spawn it, install its timeline,
-//! register the adaptive daemon, and watch the watchdog react —
+//! register the daemon with the adaptive search, and watch the watchdog
+//! react —
 //!
 //! ```
-//! use bwap_runtime::adaptive::{AdaptiveBwapDaemon, AdaptiveConfig};
+//! use bwap_runtime::{AdaptiveBwapDaemon, AdaptiveConfig};
 //! use bwap_topology::machines;
 //! use numasim::{MemPolicy, SimConfig, Simulator};
 //!
@@ -50,11 +52,11 @@
 use crate::apply::apply_weights;
 use crate::bwap_daemon::TunerHandle;
 use crate::error::RuntimeError;
-use crate::profiling::ProfileBook;
-use bwap::dwp::{DwpTuner, TunerAction};
+use bwap::dwp::DwpTuner;
 use bwap::sampler::TrimmedSampler;
-use bwap::{apply_dwp, BwapConfig, WeightDistribution};
-use numasim::{Daemon, ProcessId, ProcessSample, Simulator};
+use bwap::{apply_dwp, BwapConfig, InterleaveMode, WeightDistribution};
+use bwap_topology::NodeSet;
+use numasim::{ProcessId, Simulator};
 
 /// Configuration of the watchdog around the DWP search.
 #[derive(Debug, Clone)]
@@ -89,202 +91,111 @@ impl Default for AdaptiveConfig {
     }
 }
 
-enum Mode {
-    Tuning(DwpTuner),
-    Watching {
-        /// Steady-state stall level measured after the settle windows;
-        /// `None` until the first clean window lands.
-        reference: Option<f64>,
-        /// Full windows still to discard before taking the reference.
-        settle: usize,
-        watcher: TrimmedSampler,
-    },
-    Idle,
-}
-
-/// The adaptive stand-alone BWAP daemon.
-pub struct AdaptiveBwapDaemon {
-    pid: ProcessId,
+/// The watchdog around a DWP climb: once the climb has finished, it keeps
+/// sampling, and on a phase change it re-installs the canonical placement
+/// and restarts the climb.
+pub(crate) struct Watchdog {
     cfg: AdaptiveConfig,
-    canonical: WeightDistribution,
-    mode: Mode,
-    prev: Option<ProcessSample>,
+    /// The canonical placement (DWP = 0) a re-tune re-installs.
+    initial: WeightDistribution,
+    /// The climb a re-tune restarts: DWP = 0, no samples yet.
+    fresh: DwpTuner,
+    /// The running climb; the watchdog watches once it has finished.
+    pub(crate) climb: DwpTuner,
+    watcher: TrimmedSampler,
+    /// Full windows still to discard before taking the reference.
+    settle: usize,
+    /// Steady-state stall level measured after the settle windows;
+    /// `None` until the first clean window lands.
+    reference: Option<f64>,
     retunes: usize,
-    handle: TunerHandle,
 }
 
-impl AdaptiveBwapDaemon {
-    /// `BWAP-init` with phase adaptation. See
-    /// [`crate::BwapDaemon::init`] for `apply_initial`.
-    pub fn init(
+impl Watchdog {
+    /// Watch a climb from DWP = 0 of `canonical` on `workers`.
+    pub(crate) fn new(
+        cfg: &AdaptiveConfig,
+        canonical: WeightDistribution,
+        workers: NodeSet,
+    ) -> Result<Watchdog, RuntimeError> {
+        let initial = apply_dwp(&canonical, workers, 0.0)?;
+        let fresh = DwpTuner::new(canonical, workers, cfg.bwap.tuner.clone())?;
+        let tuner = &cfg.bwap.tuner;
+        Ok(Watchdog {
+            cfg: cfg.clone(),
+            initial,
+            climb: fresh.clone(),
+            fresh,
+            watcher: TrimmedSampler::new(tuner.samples_per_iteration, tuner.trim)?,
+            settle: cfg.settle_windows,
+            reference: None,
+            retunes: 0,
+        })
+    }
+
+    /// Feed one stall-rate sample taken after the climb finished. Returns
+    /// a full window's relative deviation from the reference level when it
+    /// leaves the re-tune band: a phase change.
+    pub(crate) fn watch(&mut self, stall_rate: f64) -> Option<f64> {
+        let mean = self.watcher.push(stall_rate)?;
+        if self.settle > 0 {
+            self.settle -= 1;
+            return None;
+        }
+        let Some(reference) = self.reference else {
+            self.reference = Some(mean);
+            return None;
+        };
+        let deviation = (mean - reference).abs() / reference.max(1e-9);
+        if deviation <= self.cfg.retune_threshold {
+            return None;
+        }
+        Some(deviation)
+    }
+
+    /// Handle a phase change of `pid`: back to the canonical spread (our
+    /// simulated `mbind` migrates in both directions) and a fresh climb,
+    /// marked on the trace and counted on the handle. Returns `false`, and
+    /// does nothing, once `max_retunes` re-tunes have happened.
+    pub(crate) fn retune(
+        &mut self,
         sim: &mut Simulator,
         pid: ProcessId,
-        cfg: &AdaptiveConfig,
-        apply_initial: bool,
-    ) -> Result<(AdaptiveBwapDaemon, TunerHandle), RuntimeError> {
-        // The inner tuner validates its own parameters below; the
-        // watchdog band must be validated here — a NaN or non-positive
-        // threshold would make every comparison fail open and re-tune on
-        // every window until the cap kills the daemon.
-        if !(cfg.retune_threshold > 0.0 && cfg.retune_threshold.is_finite()) {
-            return Err(RuntimeError::Scenario(format!(
-                "retune_threshold {} must be positive and finite",
-                cfg.retune_threshold
-            )));
+        mode: InterleaveMode,
+        handle: &TunerHandle,
+        deviation: f64,
+    ) -> bool {
+        if self.retunes >= self.cfg.max_retunes {
+            return false;
         }
-        let workers = sim.process(pid)?.workers;
-        let n = sim.machine().node_count();
-        let canonical = if cfg.bwap.uniform_canonical {
-            WeightDistribution::uniform(n)
-        } else {
-            ProfileBook::canonical_weights(sim.machine(), workers)
-        };
-        let initial = apply_dwp(&canonical, workers, 0.0)?;
-        let queued =
-            if apply_initial { apply_weights(sim, pid, &initial, cfg.bwap.mode)? } else { 0 };
-        let handle = TunerHandle::default();
-        handle.update(|r| r.pages_applied = queued as u64);
-        let tuner = DwpTuner::new(canonical.clone(), workers, cfg.bwap.tuner.clone())?;
-        Ok((
-            AdaptiveBwapDaemon {
-                pid,
-                cfg: cfg.clone(),
-                canonical,
-                mode: Mode::Tuning(tuner),
-                prev: None,
-                retunes: 0,
-                handle: handle.clone(),
-            },
-            handle,
-        ))
-    }
-
-    /// Register at the tuner's sampling cadence.
-    pub fn register(self, sim: &mut Simulator) {
-        let interval = self.cfg.bwap.tuner.sample_interval_s;
-        sim.add_daemon(Box::new(self), interval, interval);
-    }
-
-    /// How many phase changes have been handled so far.
-    pub fn retunes(&self) -> usize {
-        self.retunes
-    }
-
-    fn watcher(&self) -> TrimmedSampler {
-        TrimmedSampler::new(self.cfg.bwap.tuner.samples_per_iteration, self.cfg.bwap.tuner.trim)
-            .expect("validated at construction")
-    }
-}
-
-impl Daemon for AdaptiveBwapDaemon {
-    fn name(&self) -> &str {
-        "bwap-adaptive-tuner"
-    }
-
-    fn tick(&mut self, sim: &mut Simulator) {
-        let running = sim.process(self.pid).map(|p| p.is_running()).unwrap_or(false);
-        if !running {
-            self.mode = Mode::Idle;
-            return;
-        }
-        let sample = sim.sample(self.pid).expect("process exists");
-        let Some(prev) = self.prev.replace(sample) else {
-            return;
-        };
-        // Placement-in-flight is not a steady state to learn from: while
-        // this daemon's own migrations drain, stall samples mix placement
-        // signal with migration traffic — feeding them to the climb
-        // credits the drain to whatever DWP step happened to be under
-        // test, and feeding them to the watchdog poisons its reference.
-        // (The one-shot [`crate::BwapDaemon`] deliberately keeps the
-        // paper's sample-everything behaviour — its results are pinned by
-        // golden reports — so the two daemons share search *parameters*
-        // but not this sampling guard; `fig_phases` compares them as the
-        // complete systems they are.)
-        if sim.pending_migrations(self.pid) > 0 {
-            return;
-        }
-        let stall_rate = sample.stall_rate_since(&prev);
-        match &mut self.mode {
-            Mode::Tuning(tuner) => match tuner.on_sample(stall_rate) {
-                TunerAction::Continue => {}
-                TunerAction::Apply { dwp, weights } => {
-                    let queued = apply_weights(sim, self.pid, &weights, self.cfg.bwap.mode)
-                        .expect("placement apply");
-                    self.handle.update(|r| {
-                        r.dwp = dwp;
-                        r.pages_applied += queued as u64;
-                        r.history = tuner.history().to_vec();
-                    });
-                }
-                TunerAction::Finished => {
-                    self.handle.update(|r| {
-                        r.finished = true;
-                        r.dwp = tuner.dwp();
-                        r.history = tuner.history().to_vec();
-                    });
-                    self.mode = Mode::Watching {
-                        reference: None,
-                        settle: self.cfg.settle_windows,
-                        watcher: self.watcher(),
-                    };
-                }
-            },
-            Mode::Watching { reference, settle, watcher } => {
-                let Some(mean) = watcher.push(stall_rate) else { return };
-                if *settle > 0 {
-                    *settle -= 1;
-                    return;
-                }
-                let Some(ref_level) = *reference else {
-                    *reference = Some(mean);
-                    return;
-                };
-                let deviation = (mean - ref_level).abs() / ref_level.max(1e-9);
-                if deviation <= self.cfg.retune_threshold {
-                    return;
-                }
-                if self.retunes >= self.cfg.max_retunes {
-                    self.mode = Mode::Idle;
-                    return;
-                }
-                // Phase change: back to the canonical spread, fresh climb.
-                self.retunes += 1;
-                let workers = sim.process(self.pid).expect("exists").workers;
-                let initial = apply_dwp(&self.canonical, workers, 0.0).expect("valid canonical");
-                let queued = apply_weights(sim, self.pid, &initial, self.cfg.bwap.mode)
-                    .expect("placement apply");
-                let now = sim.clock();
-                sim.trace_instant(
-                    "retune",
-                    Some(self.pid),
-                    &[("deviation", deviation), ("queued_pages", queued as f64)],
-                );
-                self.handle.update(|r| {
-                    r.finished = false;
-                    r.dwp = 0.0;
-                    r.pages_applied += queued as u64;
-                    r.retunes += 1;
-                    r.retune_times.push(now);
-                });
-                let tuner =
-                    DwpTuner::new(self.canonical.clone(), workers, self.cfg.bwap.tuner.clone())
-                        .expect("validated at construction");
-                self.mode = Mode::Tuning(tuner);
-            }
-            Mode::Idle => {}
-        }
-    }
-
-    fn done(&self) -> bool {
-        matches!(self.mode, Mode::Idle)
+        self.retunes += 1;
+        let queued = apply_weights(sim, pid, &self.initial, mode).expect("placement apply");
+        let now = sim.clock();
+        sim.trace_instant(
+            "retune",
+            Some(pid),
+            &[("deviation", deviation), ("queued_pages", queued as f64)],
+        );
+        handle.update(|r| {
+            r.finished = false;
+            r.dwp = 0.0;
+            r.pages_applied += queued as u64;
+            r.retunes += 1;
+            r.retune_times.push(now);
+        });
+        self.climb = self.fresh.clone();
+        self.watcher.reset();
+        self.settle = self.cfg.settle_windows;
+        self.reference = None;
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bwap_topology::{machines, NodeSet};
+    use crate::AdaptiveBwapDaemon;
+    use bwap_topology::machines;
     use numasim::{MemPolicy, SimConfig};
 
     #[test]

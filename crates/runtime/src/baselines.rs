@@ -25,8 +25,8 @@ pub enum PlacementPolicy {
     /// BWAP (full, `BWAP-uniform`, static DWP, kernel/user-level — all via
     /// the config).
     Bwap(BwapConfig),
-    /// BWAP with the phase-change watchdog
-    /// ([`crate::adaptive::AdaptiveBwapDaemon`]): re-tunes when the stall
+    /// BWAP with the phase-change watchdog ([`crate::adaptive`], started
+    /// by [`crate::AdaptiveBwapDaemon::init`]): re-tunes when the stall
     /// rate departs from the converged level. Stand-alone scenario only.
     AdaptiveBwap(AdaptiveConfig),
 }

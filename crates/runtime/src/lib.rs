@@ -8,15 +8,17 @@
 //! * [`apply`] — enforce a weight distribution on a process, either with
 //!   the kernel-level weighted-interleave policy or with the user-level
 //!   Algorithm 1 plan (a few uniform-interleave `mbind` calls).
-//! * [`bwap_daemon`] / [`cosched_daemon`] — the online DWP tuner as a
-//!   periodic daemon: samples stall rates every `t` seconds, feeds the
-//!   hill climber, applies the placements it requests through incremental
-//!   migration.
+//! * [`bwap_daemon`] — `BWAP-init` and the online DWP search as one
+//!   periodic daemon: it samples stall rates every `t` seconds, feeds them
+//!   to the stand-alone climb, the co-scheduled two-stage search or the
+//!   adaptive watchdog, and applies the placements they request through
+//!   incremental migration.
 //! * [`baselines`] — the placement policies the paper compares against
 //!   (first-touch, uniform-workers, uniform-all, AutoNUMA) plus BWAP and
 //!   its ablation variants, behind one [`baselines::PlacementPolicy`]
 //!   enum.
-//! * [`adaptive`] — dynamic re-tuning for phase-changing applications
+//! * [`adaptive`] — the watchdog the daemon's adaptive search wraps
+//!   around the climb: dynamic re-tuning for phase-changing applications
 //!   (the paper's first future-work item, §VI), exercised end-to-end by
 //!   phase-structured workloads (`bwap_workloads::PhasedWorkload`) and the
 //!   `fig_phases` campaign.
@@ -39,22 +41,20 @@ pub mod apply;
 pub mod baselines;
 pub mod bwap_daemon;
 pub mod campaign;
-pub mod cosched_daemon;
 pub mod error;
 pub mod fleet;
 pub mod profiling;
 pub mod scenario;
 
-pub use adaptive::{AdaptiveBwapDaemon, AdaptiveConfig};
+pub use adaptive::AdaptiveConfig;
 pub use apply::apply_weights;
 pub use baselines::PlacementPolicy;
-pub use bwap_daemon::{BwapDaemon, TunerHandle};
+pub use bwap_daemon::{AdaptiveBwapDaemon, BwapDaemon, CoschedDaemon, TunerHandle};
 pub use campaign::{
     cell_descriptor, effective_policy, run_campaign, run_campaign_with, run_cell_for, run_parallel,
     run_parallel_catch, run_parallel_with, CampaignConfig, CampaignReport, CampaignSpec, CellCache,
     CellRecord, DwpPoint, FleetAxis, NodeTierRecord, ScenarioKind,
 };
-pub use cosched_daemon::CoschedDaemon;
 pub use error::RuntimeError;
 pub use fleet::{
     jobs_from_trace, poisson_jobs, run_fleet, FleetConfig, FleetJob, FleetOutcome, JobOutcome,

@@ -14,10 +14,8 @@
 //! engine swaps its profile at every phase boundary — the setting the
 //! adaptive BWAP daemon ([`PlacementPolicy::AdaptiveBwap`]) exists for.
 
-use crate::adaptive::AdaptiveBwapDaemon;
 use crate::baselines::PlacementPolicy;
-use crate::bwap_daemon::{BwapDaemon, TunerHandle};
-use crate::cosched_daemon::CoschedDaemon;
+use crate::bwap_daemon::{AdaptiveBwapDaemon, BwapDaemon, CoschedDaemon, TunerHandle};
 use crate::error::RuntimeError;
 use bwap_topology::{MachineTopology, NodeSet};
 use bwap_workloads::{PhasedWorkload, WorkloadSpec};

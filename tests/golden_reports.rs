@@ -8,8 +8,10 @@
 //! Regenerate deliberately with:
 //! `BWAP_BLESS=1 cargo test --test golden_reports`.
 
+use bwap::BwapConfig;
 use bwap_bench::experiments::{fig1a_spec, fig4_spec, fig_fleet_spec, table1_spec};
-use bwap_runtime::run_campaign;
+use bwap_runtime::{run_campaign, AdaptiveConfig, CampaignSpec, PlacementPolicy, ScenarioKind};
+use bwap_topology::machines;
 use std::path::PathBuf;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -61,4 +63,27 @@ fn fig4_quick_report_matches_golden() {
 #[test]
 fn fig_fleet_quick_report_matches_golden() {
     check("fig_fleet_quick", &run_campaign(&fig_fleet_spec(true)).deterministic_json());
+}
+
+/// Every BWAP-init path no paper spec pins: the uniform canonical
+/// (`BWAP-uniform`), kernel-mode interleaving, a stand-alone static
+/// placement and the adaptive daemon, next to the default climb, in both
+/// scenarios. The two co-scheduled adaptive cells are error cells (the
+/// watchdog is stand-alone only).
+#[test]
+fn bwap_variants_quick_report_matches_golden() {
+    let spec = CampaignSpec::new("bwap_variants", machines::machine_b())
+        .workloads(vec![bwap_workloads::streamcluster().scaled_down(8.0)])
+        .policies(vec![
+            PlacementPolicy::Bwap(BwapConfig::default()),
+            PlacementPolicy::Bwap(BwapConfig::bwap_uniform()),
+            PlacementPolicy::Bwap(BwapConfig::kernel_mode()),
+            PlacementPolicy::Bwap(BwapConfig::static_dwp(0.3)),
+            PlacementPolicy::AdaptiveBwap(AdaptiveConfig::default()),
+        ])
+        .scenarios(vec![ScenarioKind::Standalone, ScenarioKind::Coscheduled])
+        .worker_counts(vec![1, 2]);
+    let report = run_campaign(&spec);
+    assert_eq!(report.cells.len(), 20);
+    check("bwap_variants_quick", &report.deterministic_json());
 }
